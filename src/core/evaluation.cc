@@ -192,10 +192,10 @@ Status ValidateConfig(const ModelFamilyConfig& config) {
 
 }  // namespace
 
-Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
-                                       Approach approach, bool with_fi,
-                                       const ModelFamilyConfig& config,
-                                       const EvalProtocol& protocol) {
+Result<ExperimentPlan> PlanExperiment(const Dataset& samples, Outcome outcome,
+                                      Approach approach, bool with_fi,
+                                      const ModelFamilyConfig& config,
+                                      const EvalProtocol& protocol) {
   if (samples.num_rows() < 10) {
     return Status::InvalidArgument("experiment needs at least 10 samples");
   }
@@ -204,15 +204,17 @@ Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
   }
   MYSAWH_RETURN_NOT_OK(ValidateConfig(config));
 
-  ExperimentResult result;
-  result.outcome = outcome;
-  result.approach = approach;
-  result.with_fi = with_fi;
-  result.is_classification = IsClassification(outcome);
+  ExperimentPlan plan;
+  plan.outcome = outcome;
+  plan.approach = approach;
+  plan.with_fi = with_fi;
+  plan.is_classification = IsClassification(outcome);
+  plan.config = config;
+  plan.protocol = protocol;
 
   Rng rng(protocol.seed);
   TrainTestIndices split;
-  if (result.is_classification) {
+  if (plan.is_classification) {
     MYSAWH_ASSIGN_OR_RETURN(
         split,
         StratifiedTrainTestSplit(samples.labels(), protocol.test_fraction,
@@ -222,109 +224,162 @@ Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
         split, TrainTestSplit(samples.num_rows(), protocol.test_fraction,
                               &rng));
   }
-  MYSAWH_ASSIGN_OR_RETURN(result.train, samples.Take(split.train));
-  MYSAWH_ASSIGN_OR_RETURN(result.test, samples.Take(split.test));
+  MYSAWH_ASSIGN_OR_RETURN(plan.train, samples.Take(split.train));
+  MYSAWH_ASSIGN_OR_RETURN(plan.test, samples.Take(split.test));
 
   // K-fold CV on the train partition.
-  std::vector<Fold> folds;
-  if (result.is_classification) {
+  if (plan.is_classification) {
     MYSAWH_ASSIGN_OR_RETURN(
-        folds,
-        StratifiedKFoldSplit(result.train.labels(), protocol.cv_folds, &rng));
+        plan.folds,
+        StratifiedKFoldSplit(plan.train.labels(), protocol.cv_folds, &rng));
   } else {
     MYSAWH_ASSIGN_OR_RETURN(
-        folds, KFoldSplit(result.train.num_rows(), protocol.cv_folds, &rng));
+        plan.folds, KFoldSplit(plan.train.num_rows(), protocol.cv_folds, &rng));
   }
-  std::vector<RegressionMetrics> fold_reg;
-  std::vector<ClassificationMetrics> fold_cls;
-  for (size_t fold_index = 0; fold_index < folds.size(); ++fold_index) {
-    const Fold& fold = folds[fold_index];
-    MYSAWH_ASSIGN_OR_RETURN(Dataset fold_train,
-                            result.train.Take(fold.train));
+  return plan;
+}
+
+namespace {
+
+/// Scores `preds` against `labels` into the metrics block of `fit` that
+/// matches the plan's outcome type.
+Status ScoreFit(const ExperimentPlan& plan, const std::vector<double>& labels,
+                const std::vector<double>& preds, FitResult* fit) {
+  if (plan.is_classification) {
+    MYSAWH_ASSIGN_OR_RETURN(
+        fit->classification,
+        ComputeClassificationMetrics(labels, preds,
+                                     plan.protocol.decision_threshold));
+  } else {
+    MYSAWH_ASSIGN_OR_RETURN(fit->regression,
+                            ComputeRegressionMetrics(labels, preds));
+  }
+  return Status::Ok();
+}
+
+/// With telemetry on and a tree model, records the held-out learning curve
+/// in the paper's headline metric (AUC for classification, MAPE for
+/// regression) — the trainer's stream only carries the objective loss.
+Status RecordEvalCurve(const ExperimentPlan& plan,
+                       const gbt::GbtModel& model) {
+  MYSAWH_ASSIGN_OR_RETURN(std::vector<std::vector<double>> stages,
+                          model.PredictStaged(plan.test, 1));
+  TelemetryStream eval = Telemetry::Global().StartStream("eval");
+  if (!eval.active()) return Status::Ok();
+  const char* metric = plan.is_classification ? "auc" : "mape";
+  std::ostringstream header;
+  header << "\"metric\":\"" << metric << "\",\"rows\":"
+         << plan.test.num_rows() << ",\"stages\":" << stages.size();
+  eval.Line("header", header.str());
+  for (size_t stage = 0; stage < stages.size(); ++stage) {
+    double value = std::numeric_limits<double>::quiet_NaN();
+    if (plan.is_classification) {
+      Result<double> auc = RocAuc(plan.test.labels(), stages[stage]);
+      if (auc.ok()) value = *auc;
+    } else {
+      Result<RegressionMetrics> m =
+          ComputeRegressionMetrics(plan.test.labels(), stages[stage]);
+      if (m.ok()) value = m->mape;
+    }
+    std::ostringstream line;
+    line << "\"round\":" << stage << ",\"value\":" << TelemetryDouble(value);
+    eval.Line("eval", line.str());
+  }
+  eval.Finish();
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<FitResult> RunFit(const ExperimentPlan& plan, int fit) {
+  if (fit < 0 || fit > plan.final_fit()) {
+    return Status::InvalidArgument("fit index out of range");
+  }
+  FitResult result;
+  if (fit < plan.final_fit()) {
+    const Fold& fold = plan.folds[static_cast<size_t>(fit)];
+    MYSAWH_ASSIGN_OR_RETURN(Dataset fold_train, plan.train.Take(fold.train));
     MYSAWH_ASSIGN_OR_RETURN(Dataset fold_valid,
-                            result.train.Take(fold.validation));
+                            plan.train.Take(fold.validation));
     // With telemetry on, the fold's held-out side is tracked per boosting
     // round (stream "<context>/cv<k>/train"). Early stopping is off in the
     // study protocol, so the trained model — and therefore every reported
     // metric — is bit-identical whether or not the validation set is
     // passed through.
-    TelemetryScope fold_scope("cv" + std::to_string(fold_index));
+    TelemetryScope fold_scope("cv" + std::to_string(fit));
     MYSAWH_ASSIGN_OR_RETURN(
         std::unique_ptr<model::Model> model,
-        TrainModel(fold_train, outcome, config,
+        TrainModel(fold_train, plan.outcome, plan.config,
                    TelemetryEnabled() ? &fold_valid : nullptr));
     MYSAWH_ASSIGN_OR_RETURN(std::vector<double> preds,
                             model->PredictBatch(fold_valid));
-    if (result.is_classification) {
-      MYSAWH_ASSIGN_OR_RETURN(
-          ClassificationMetrics m,
-          ComputeClassificationMetrics(fold_valid.labels(), preds,
-                                       protocol.decision_threshold));
-      fold_cls.push_back(m);
-    } else {
-      MYSAWH_ASSIGN_OR_RETURN(
-          RegressionMetrics m,
-          ComputeRegressionMetrics(fold_valid.labels(), preds));
-      fold_reg.push_back(m);
-    }
+    MYSAWH_RETURN_NOT_OK(ScoreFit(plan, fold_valid.labels(), preds, &result));
+    return result;
   }
-  result.cv_regression = MeanRegression(fold_reg);
-  result.cv_classification = MeanClassification(fold_cls);
-
-  // Final model on all train rows, evaluated on the held-out test rows.
-  {
-    TelemetryScope final_scope("final");
-    MYSAWH_ASSIGN_OR_RETURN(
-        result.model,
-        TrainModel(result.train, outcome, config,
-                   TelemetryEnabled() ? &result.test : nullptr));
-  }
+  // The final model on all train rows, evaluated on the held-out test rows.
+  TelemetryScope final_scope("final");
+  MYSAWH_ASSIGN_OR_RETURN(
+      result.model,
+      TrainModel(plan.train, plan.outcome, plan.config,
+                 TelemetryEnabled() ? &plan.test : nullptr));
   MYSAWH_ASSIGN_OR_RETURN(std::vector<double> test_preds,
-                          result.model->PredictBatch(result.test));
-  if (result.is_classification) {
-    MYSAWH_ASSIGN_OR_RETURN(
-        result.test_classification,
-        ComputeClassificationMetrics(result.test.labels(), test_preds,
-                                     protocol.decision_threshold));
-  } else {
-    MYSAWH_ASSIGN_OR_RETURN(
-        result.test_regression,
-        ComputeRegressionMetrics(result.test.labels(), test_preds));
-  }
-
-  // With telemetry on and a tree model, record the held-out learning curve
-  // in the paper's headline metric (AUC for classification, MAPE for
-  // regression) — the trainer's stream only carries the objective loss.
-  if (TelemetryEnabled() && result.gbt_model() != nullptr) {
-    TelemetryScope final_scope("final");
-    MYSAWH_ASSIGN_OR_RETURN(std::vector<std::vector<double>> stages,
-                            result.gbt_model()->PredictStaged(result.test, 1));
-    TelemetryStream eval = Telemetry::Global().StartStream("eval");
-    if (eval.active()) {
-      const char* metric = result.is_classification ? "auc" : "mape";
-      std::ostringstream header;
-      header << "\"metric\":\"" << metric << "\",\"rows\":"
-             << result.test.num_rows() << ",\"stages\":" << stages.size();
-      eval.Line("header", header.str());
-      for (size_t stage = 0; stage < stages.size(); ++stage) {
-        double value = std::numeric_limits<double>::quiet_NaN();
-        if (result.is_classification) {
-          Result<double> auc = RocAuc(result.test.labels(), stages[stage]);
-          if (auc.ok()) value = *auc;
-        } else {
-          Result<RegressionMetrics> m =
-              ComputeRegressionMetrics(result.test.labels(), stages[stage]);
-          if (m.ok()) value = m->mape;
-        }
-        std::ostringstream line;
-        line << "\"round\":" << stage << ",\"value\":"
-             << TelemetryDouble(value);
-        eval.Line("eval", line.str());
-      }
-      eval.Finish();
-    }
+                          result.model->PredictBatch(plan.test));
+  MYSAWH_RETURN_NOT_OK(ScoreFit(plan, plan.test.labels(), test_preds, &result));
+  const auto* gbt_model = dynamic_cast<const gbt::GbtModel*>(result.model.get());
+  if (TelemetryEnabled() && gbt_model != nullptr) {
+    MYSAWH_RETURN_NOT_OK(RecordEvalCurve(plan, *gbt_model));
   }
   return result;
+}
+
+Result<ExperimentResult> FinishExperiment(
+    ExperimentPlan plan, std::vector<Result<FitResult>> fits) {
+  if (static_cast<int>(fits.size()) != plan.num_fits()) {
+    return Status::InvalidArgument("one result per fit is required");
+  }
+  std::vector<RegressionMetrics> fold_reg;
+  std::vector<ClassificationMetrics> fold_cls;
+  for (int fit = 0; fit < plan.final_fit(); ++fit) {
+    MYSAWH_RETURN_NOT_OK(fits[static_cast<size_t>(fit)].status());
+    const FitResult& fold = *fits[static_cast<size_t>(fit)];
+    if (plan.is_classification) {
+      fold_cls.push_back(fold.classification);
+    } else {
+      fold_reg.push_back(fold.regression);
+    }
+  }
+  MYSAWH_ASSIGN_OR_RETURN(
+      FitResult final_fit,
+      std::move(fits[static_cast<size_t>(plan.final_fit())]));
+
+  ExperimentResult result;
+  result.outcome = plan.outcome;
+  result.approach = plan.approach;
+  result.with_fi = plan.with_fi;
+  result.is_classification = plan.is_classification;
+  result.cv_regression = MeanRegression(fold_reg);
+  result.cv_classification = MeanClassification(fold_cls);
+  result.test_regression = final_fit.regression;
+  result.test_classification = final_fit.classification;
+  result.model = std::move(final_fit.model);
+  result.train = std::move(plan.train);
+  result.test = std::move(plan.test);
+  return result;
+}
+
+Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
+                                       Approach approach, bool with_fi,
+                                       const ModelFamilyConfig& config,
+                                       const EvalProtocol& protocol) {
+  MYSAWH_ASSIGN_OR_RETURN(
+      ExperimentPlan plan,
+      PlanExperiment(samples, outcome, approach, with_fi, config, protocol));
+  std::vector<Result<FitResult>> fits;
+  for (int fit = 0; fit < plan.num_fits(); ++fit) {
+    fits.push_back(RunFit(plan, fit));
+    MYSAWH_RETURN_NOT_OK(fits.back().status());
+  }
+  return FinishExperiment(std::move(plan), std::move(fits));
 }
 
 Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,

@@ -8,6 +8,7 @@
 #include "core/metrics.h"
 #include "core/outcomes.h"
 #include "data/dataset.h"
+#include "data/split.h"
 #include "gam/gam_model.h"
 #include "gbt/gbt_model.h"
 #include "model/model.h"
@@ -109,9 +110,59 @@ Result<std::unique_ptr<model::Model>> TrainModel(
     const Dataset& train, Outcome outcome, const ModelFamilyConfig& config,
     const Dataset* validation = nullptr);
 
-/// Runs one experiment cell on a sample set (pass SampleSets::dd, dd_fi,
-/// kd or kd_fi; `approach`/`with_fi` are recorded as metadata): splits
-/// 80/20 (stratified for Falls), K-fold cross-validates on the train side,
+/// One experiment cell with its protocol resolved: the 80/20 partitions
+/// and the K cross-validation folds, drawn from `protocol.seed` alone. Its
+/// K + 1 fits (fold k for k < K, then the final fit) depend on nothing but
+/// the plan, so they may run in any order and on any thread; RunFullStudy
+/// schedules the fits of all twelve cells on one pool.
+struct ExperimentPlan {
+  Outcome outcome = Outcome::kQol;
+  Approach approach = Approach::kDataDriven;
+  bool with_fi = false;
+  bool is_classification = false;
+  ModelFamilyConfig config;
+  EvalProtocol protocol;
+  Dataset train;
+  Dataset test;
+  std::vector<Fold> folds;
+
+  /// K + 1: every CV fold, then the final fit.
+  int num_fits() const { return static_cast<int>(folds.size()) + 1; }
+  /// Index of the final fit (on all train rows, evaluated on test).
+  int final_fit() const { return static_cast<int>(folds.size()); }
+};
+
+/// What one fit of a plan produced. A CV fit carries its validation
+/// metrics; the final fit carries the model and its test metrics.
+struct FitResult {
+  RegressionMetrics regression;          ///< Valid when regression.
+  ClassificationMetrics classification;  ///< Valid when classification.
+  std::unique_ptr<model::Model> model;   ///< The final fit only.
+};
+
+/// Validates the configuration, splits 80/20 (stratified for Falls) and
+/// draws the K folds on the train side (pass SampleSets::dd, dd_fi, kd or
+/// kd_fi; `approach`/`with_fi` are recorded as metadata).
+Result<ExperimentPlan> PlanExperiment(const Dataset& samples, Outcome outcome,
+                                      Approach approach, bool with_fi,
+                                      const ModelFamilyConfig& config,
+                                      const EvalProtocol& protocol);
+
+/// Runs fit `fit` of `plan`: fold `fit` trains on the other folds and is
+/// scored on its own; the final fit trains on all train rows and is scored
+/// on the test partition. Thread-safe for distinct fits of one plan. With
+/// telemetry on, the fit's streams are labelled `cv<k>/...` or `final/...`
+/// under the caller's context.
+Result<FitResult> RunFit(const ExperimentPlan& plan, int fit);
+
+/// Assembles a cell from its plan and its fits in fit order: CV means over
+/// the folds, the final model and its test metrics. Returns the first
+/// failed fit's Status, in fit order.
+Result<ExperimentResult> FinishExperiment(ExperimentPlan plan,
+                                          std::vector<Result<FitResult>> fits);
+
+/// Runs one experiment cell on a sample set: PlanExperiment, every fit in
+/// order, FinishExperiment. K-fold cross-validates on the train side,
 /// trains the final model on all train rows, and evaluates on the test
 /// side.
 Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,

@@ -3,9 +3,13 @@
 #include <sys/stat.h>
 #include <time.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -32,13 +36,16 @@ Status EnsureCheckpointDir(const std::string& dir) {
                          std::strerror(errno));
 }
 
-/// Study-grid instruments: resume hit/miss split plus full-cell latency.
-/// `cells_total` lets the live monitor render "done/total" progress.
+/// Study-grid instruments: resume hit/miss split plus per-cell busy time.
+/// The totals let the live monitor render "done/total" progress in cells
+/// and, finer grained, in fits.
 struct StudyMetrics {
   Counter* cells_computed;
+  Counter* fits_computed;
   Counter* resume_hits;
   Counter* resume_misses;
   Gauge* cells_total;
+  Gauge* fits_total;
   LatencyHistogram* cell_us;
 };
 
@@ -46,9 +53,11 @@ StudyMetrics& Metrics() {
   static StudyMetrics metrics = [] {
     auto& registry = MetricsRegistry::Global();
     return StudyMetrics{registry.GetCounter("study.cells_computed"),
+                        registry.GetCounter("study.fits_computed"),
                         registry.GetCounter("study.resume_hits"),
                         registry.GetCounter("study.resume_misses"),
                         registry.GetGauge("study.cells_total"),
+                        registry.GetGauge("study.fits_total"),
                         registry.GetHistogram("study.cell_us")};
   }();
   return metrics;
@@ -155,6 +164,113 @@ std::string StudyResult::ToMarkdown() const {
   return os.str();
 }
 
+double EstimateFitCost(const ExperimentPlan& plan, int fit) {
+  const Dataset& data = plan.train;
+  const double rows =
+      fit < plan.final_fit()
+          ? static_cast<double>(
+                plan.folds[static_cast<size_t>(fit)].train.size())
+          : static_cast<double>(data.num_rows());
+  const double features = static_cast<double>(data.num_features());
+  if (plan.config.family != ModelFamily::kGbt) return rows * features;
+  const gbt::GbtParams& params = plan.config.gbt;
+  // A boosting round touches every sampled row once per level for each
+  // sampled feature (histogram build, partition), plus a per-row floor
+  // (gradients, score update) that dominates one- or two-feature models.
+  constexpr double kPerRowFloor = 4.0;
+  return static_cast<double>(params.num_trees) * rows *
+         static_cast<double>(params.max_depth) *
+         (kPerRowFloor + features * params.colsample_bytree);
+}
+
+namespace {
+
+/// Wall and thread-CPU clock of one task on the calling thread.
+class TaskClock {
+ public:
+  TaskClock()
+      : wall_start_(std::chrono::steady_clock::now()),
+        cpu_start_(ThreadCpuMillis()) {}
+  double WallMillis() const {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - wall_start_)
+        .count();
+  }
+  double CpuMillis() const { return ThreadCpuMillis() - cpu_start_; }
+
+ private:
+  std::chrono::steady_clock::time_point wall_start_;
+  double cpu_start_;
+};
+
+/// What the manifest-only post-pass reports for one cell.
+struct PostPass {
+  DataQualityProfile profile;
+  std::string drift_json;
+  std::string calibration_json;
+};
+
+/// One grid cell while the study runs. A computed cell holds its plan and
+/// one slot per fit; the fit that completes last assembles the cell.
+struct CellRun {
+  StudyCellKey key;
+  const Dataset* data = nullptr;
+  Result<ExperimentResult> result = Status::Internal("cell never ran");
+  CellTiming timing;
+  std::unique_ptr<ExperimentPlan> plan;
+  std::vector<Result<FitResult>> fits;
+  std::vector<CellTiming> fit_timings;
+  std::atomic<int> fits_left{0};
+  /// Set only for computed cells with both partitions and a model.
+  std::optional<Result<PostPass>> post_pass;
+};
+
+/// The manifest-only post-pass of one finished cell: a data-quality profile
+/// of its train/test partition, drift of the test partition against a
+/// train-time baseline, and calibration (Falls) or error quantiles
+/// (regression) of its test predictions. Pure functions of the trained
+/// model and partitions; never read by ToMarkdown().
+Result<PostPass> ProfileAndCheckQuality(const StudyConfig& config,
+                                        const StudyCellKey& key,
+                                        const ExperimentResult& result) {
+  PostPass post;
+  {
+    TraceSpan span("study.profile_cells", "study");
+    MYSAWH_ASSIGN_OR_RETURN(post.profile,
+                            ProfilePartition(result.train, result.test,
+                                             result.is_classification));
+  }
+  TraceSpan span("study.model_quality", "study");
+  MYSAWH_ASSIGN_OR_RETURN(std::vector<double> train_preds,
+                          result.model->PredictBatch(result.train));
+  MYSAWH_ASSIGN_OR_RETURN(std::vector<double> test_preds,
+                          result.model->PredictBatch(result.test));
+  MYSAWH_ASSIGN_OR_RETURN(
+      DriftBaseline baseline,
+      BuildDriftBaseline(result.train, train_preds, config.drift_bins));
+  MYSAWH_ASSIGN_OR_RETURN(DriftReport drift,
+                          EvaluateDrift(baseline, result.test, test_preds,
+                                        config.drift_thresholds));
+  post.drift_json = DriftReportJson(drift);
+  const std::string cell_name = StudyCellName(key);
+  const std::vector<double>& labels = result.test.labels();
+  if (result.is_classification) {
+    MYSAWH_ASSIGN_OR_RETURN(
+        CalibrationReport calibration,
+        ComputeCalibration(labels, test_preds, config.calibration_bins));
+    PublishCalibrationGauges(cell_name, calibration);
+    post.calibration_json = CalibrationJson(calibration);
+  } else {
+    MYSAWH_ASSIGN_OR_RETURN(ErrorQuantiles quantiles,
+                            ComputeErrorQuantiles(labels, test_preds));
+    PublishErrorQuantileGauges(cell_name, quantiles);
+    post.calibration_json = ErrorQuantilesJson(quantiles);
+  }
+  return post;
+}
+
+}  // namespace
+
 Result<StudyResult> RunFullStudy(const StudyConfig& config) {
   cohort::CohortSimulator simulator(config.cohort);
   StudyResult study;
@@ -163,22 +279,16 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
     TraceSpan span("study.generate_cohort", "study");
     MYSAWH_ASSIGN_OR_RETURN(cohort, simulator.Generate());
   }
-  // Build all sample sets up front (the builder is stateful), then fan the
-  // twelve independent cells out over a pool. Each cell seeds its own Rng
-  // from the protocol, so the grid is deterministic for any thread count.
-  struct CellJob {
-    const Dataset* data = nullptr;
-    Outcome outcome = Outcome::kQol;
-    Approach approach = Approach::kDataDriven;
-    bool with_fi = false;
-  };
+  // Build all sample sets up front (the builder is stateful); every cell
+  // then reads its own immutable dataset.
   std::vector<SampleSets> all_sets;
-  all_sets.reserve(3);  // jobs hold pointers into all_sets; no reallocation
-  std::vector<CellJob> jobs;
+  all_sets.reserve(3);  // cells hold pointers into all_sets; no reallocation
+  std::vector<CellRun> cells(12);
   {
     TraceSpan build_span("study.build_samples", "study");
     MYSAWH_ASSIGN_OR_RETURN(SampleSetBuilder builder,
                             SampleSetBuilder::Create(&cohort, config.build));
+    size_t c = 0;
     for (Outcome outcome : {Outcome::kQol, Outcome::kSppb, Outcome::kFalls}) {
       MYSAWH_ASSIGN_OR_RETURN(SampleSets sets, builder.Build(outcome));
       if (outcome == Outcome::kQol) {
@@ -188,11 +298,16 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
       }
       all_sets.push_back(std::move(sets));
       const SampleSets& stored = all_sets.back();
-      jobs.push_back({&stored.kd, outcome, Approach::kKnowledgeDriven, false});
-      jobs.push_back(
-          {&stored.kd_fi, outcome, Approach::kKnowledgeDriven, true});
-      jobs.push_back({&stored.dd, outcome, Approach::kDataDriven, false});
-      jobs.push_back({&stored.dd_fi, outcome, Approach::kDataDriven, true});
+      const std::pair<const Dataset*, StudyCellKey> grid[] = {
+          {&stored.kd, {outcome, Approach::kKnowledgeDriven, false}},
+          {&stored.kd_fi, {outcome, Approach::kKnowledgeDriven, true}},
+          {&stored.dd, {outcome, Approach::kDataDriven, false}},
+          {&stored.dd_fi, {outcome, Approach::kDataDriven, true}}};
+      for (const auto& [data, key] : grid) {
+        cells[c].data = data;
+        cells[c].key = key;
+        ++c;
+      }
     }
   }
 
@@ -205,48 +320,29 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
   if (checkpointing) {
     MYSAWH_RETURN_NOT_OK(EnsureCheckpointDir(config.checkpoint_dir));
   }
-  ThreadPool pool(num_threads);
-  Metrics().cells_total->Set(static_cast<int64_t>(jobs.size()));
-  std::vector<Result<ExperimentResult>> outcomes_by_cell;
-  outcomes_by_cell.reserve(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    outcomes_by_cell.emplace_back(Status::Internal("cell never ran"));
-  }
-  std::vector<CellTiming> timings_by_cell(jobs.size());
-  pool.ParallelFor(static_cast<int64_t>(jobs.size()), [&](int64_t i) {
-    const CellJob& job = jobs[static_cast<size_t>(i)];
-    auto& slot = outcomes_by_cell[static_cast<size_t>(i)];
-    CellTiming& timing = timings_by_cell[static_cast<size_t>(i)];
-    const StudyCellKey key{job.outcome, job.approach, job.with_fi};
-    // Span names are dynamic, so build one only when tracing is on (the
-    // disabled fast path must not allocate).
-    TraceSpan cell_span;
-    if (TracingEnabled()) {
-      cell_span = TraceSpan("study.cell/" + StudyCellName(key), "study");
-    }
-    // Each cell runs wholly on one pool thread, so a thread-local telemetry
-    // context uniquely labels its streams ("QoL-DD-fi0/cv2/train", ...)
-    // regardless of which worker picked the cell up.
-    TelemetryScope cell_scope(StudyCellName(key));
-    ScopedLatencyTimer cell_timer(Metrics().cell_us);
-    const auto wall_start = std::chrono::steady_clock::now();
-    const double cpu_start = ThreadCpuMillis();
-    auto finish_timing = [&](bool resumed) {
-      timing.wall_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - wall_start)
-                           .count();
-      timing.cpu_ms = ThreadCpuMillis() - cpu_start;
-      timing.resumed = resumed;
-    };
+  Metrics().cells_total->Set(static_cast<int64_t>(cells.size()));
+
+  // Resume or plan every cell, in grid order on this thread: both are cheap,
+  // and failpoint hits and resume decisions stay in a fixed order. Each plan
+  // draws its partitions from the protocol seed alone.
+  struct FitTask {
+    size_t cell;
+    int fit;
+    double cost;
+  };
+  std::vector<FitTask> tasks;
+  for (size_t c = 0; c < cells.size(); ++c) {
+    CellRun& cell = cells[c];
+    const TaskClock clock;
     if (checkpointing && config.resume) {
-      Result<ExperimentResult> loaded =
-          LoadCellCheckpoint(config.checkpoint_dir, fingerprint, job.outcome,
-                             job.approach, job.with_fi);
+      Result<ExperimentResult> loaded = LoadCellCheckpoint(
+          config.checkpoint_dir, fingerprint, cell.key.outcome,
+          cell.key.approach, cell.key.with_fi);
       if (loaded.ok()) {
         Metrics().resume_hits->Increment();
-        slot = std::move(loaded);
-        finish_timing(/*resumed=*/true);
-        return;
+        cell.result = std::move(loaded);
+        cell.timing = {clock.WallMillis(), clock.CpuMillis(), true};
+        continue;
       }
       // NotFound (never checkpointed), DataLoss (corrupt file) and
       // FailedPrecondition (different configuration) all mean the same
@@ -254,86 +350,116 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
       Metrics().resume_misses->Increment();
     }
     if (auto injected = FailpointRegistry::Global().Check("study/cell_run")) {
-      slot = *std::move(injected);
-      finish_timing(/*resumed=*/false);
-      return;
+      cell.result = *std::move(injected);
+      continue;
     }
-    ModelFamilyConfig model_config =
-        DefaultModelConfig(job.outcome, job.approach, config.model_family);
-    slot = RunExperiment(*job.data, job.outcome, job.approach, job.with_fi,
-                         model_config, config.protocol);
+    Result<ExperimentPlan> plan = PlanExperiment(
+        *cell.data, cell.key.outcome, cell.key.approach, cell.key.with_fi,
+        DefaultModelConfig(cell.key.outcome, cell.key.approach,
+                           config.model_family),
+        config.protocol);
+    if (!plan.ok()) {
+      cell.result = plan.status();
+      continue;
+    }
+    cell.plan = std::make_unique<ExperimentPlan>(std::move(plan).value());
+    const int num_fits = cell.plan->num_fits();
+    for (int fit = 0; fit < num_fits; ++fit) {
+      cell.fits.emplace_back(Status::Internal("fit never ran"));
+      tasks.push_back({c, fit, EstimateFitCost(*cell.plan, fit)});
+    }
+    cell.fit_timings.resize(static_cast<size_t>(num_fits));
+    cell.fits_left = num_fits;
+    cell.timing = {clock.WallMillis(), clock.CpuMillis(), false};
+  }
+  Metrics().fits_total->Set(static_cast<int64_t>(tasks.size()));
+
+  // The last fit of a cell to complete assembles it on its worker: CV
+  // means, checkpoint, and the manifest post-pass. The fit slots are final
+  // by then: the atomic countdown orders every fit's writes before it.
+  auto finish_cell = [&](CellRun& cell) {
+    TraceSpan span;
+    if (TracingEnabled()) {
+      span = TraceSpan("study.cell/" + StudyCellName(cell.key), "study");
+    }
+    const TaskClock clock;
+    cell.result = FinishExperiment(std::move(*cell.plan), std::move(cell.fits));
+    cell.plan.reset();
     Metrics().cells_computed->Increment();
-    if (slot.ok() && checkpointing) {
+    if (cell.result.ok() && checkpointing) {
       const Status saved =
-          SaveCellCheckpoint(config.checkpoint_dir, fingerprint, *slot);
+          SaveCellCheckpoint(config.checkpoint_dir, fingerprint, *cell.result);
       // A cell whose checkpoint cannot be written counts as failed: the
       // study's contract is that a later --resume never silently re-runs
       // work it reported as persisted.
-      if (!saved.ok()) slot = saved;
+      if (!saved.ok()) cell.result = saved;
     }
-    finish_timing(/*resumed=*/false);
-  });
+    if (cell.result.ok() && cell.result->train.num_rows() > 0 &&
+        cell.result->test.num_rows() > 0 && cell.result->model != nullptr) {
+      cell.post_pass = ProfileAndCheckQuality(config, cell.key, *cell.result);
+    }
+    cell.timing.wall_ms += clock.WallMillis();
+    cell.timing.cpu_ms += clock.CpuMillis();
+    for (const CellTiming& fit : cell.fit_timings) {
+      cell.timing.wall_ms += fit.wall_ms;
+      cell.timing.cpu_ms += fit.cpu_ms;
+    }
+    Metrics().cell_us->Record(static_cast<int64_t>(cell.timing.wall_ms * 1e3));
+  };
+
+  // Schedule the fits, not the cells: longest first (a stable sort keeps
+  // grid and fit order among equal estimates), one task each, on the one
+  // study pool. Workers take tasks in submission order, so the longest
+  // fits start first and the short ones fill in at the end. Every fit
+  // writes only its own slot, so the result is the same for any thread
+  // count and any completion order.
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const FitTask& a, const FitTask& b) {
+                     return a.cost > b.cost;
+                   });
+  ThreadPool pool(num_threads);
+  for (const FitTask& task : tasks) {
+    pool.Submit([&, task] {
+      CellRun& cell = cells[task.cell];
+      {
+        const std::string name = StudyCellName(cell.key);
+        TraceSpan span;
+        if (TracingEnabled()) {
+          span = TraceSpan("study.cell/" + name + "/" +
+                               (task.fit < cell.plan->final_fit()
+                                    ? "cv" + std::to_string(task.fit)
+                                    : "final"),
+                           "study");
+        }
+        // Telemetry context is thread-local, so each fit labels its own
+        // streams ("QoL-DD-fi0/cv2/train", ...) on whichever worker runs it.
+        TelemetryScope cell_scope(name);
+        const TaskClock clock;
+        cell.fits[static_cast<size_t>(task.fit)] = RunFit(*cell.plan, task.fit);
+        cell.fit_timings[static_cast<size_t>(task.fit)] = {
+            clock.WallMillis(), clock.CpuMillis(), false};
+        Metrics().fits_computed->Increment();
+      }
+      if (--cell.fits_left == 0) {
+        finish_cell(cell);
+      }
+    });
+  }
+  pool.Wait();
 
   // Collect in grid order so the first error reported is deterministic too.
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const StudyCellKey key{jobs[i].outcome, jobs[i].approach,
-                           jobs[i].with_fi};
-    MYSAWH_ASSIGN_OR_RETURN(ExperimentResult result,
-                            std::move(outcomes_by_cell[i]));
-    study.cells.emplace(key, std::move(result));
-    study.timings.emplace(key, timings_by_cell[i]);
-  }
-  // Profile each cell's train/test partition for the run manifest. Pure
-  // function of the datasets, so this adds no nondeterminism and never
-  // influences the metrics above. Cells resumed from a checkpoint carry
-  // only their metrics, not their partitions, so they have no profile.
-  {
-    TraceSpan profile_span("study.profile_cells", "study");
-    for (auto& [key, cell] : study.cells) {
-      if (cell.train.num_rows() == 0 || cell.test.num_rows() == 0) continue;
-      MYSAWH_ASSIGN_OR_RETURN(
-          DataQualityProfile profile,
-          ProfilePartition(cell.train, cell.test, cell.is_classification));
-      study.profiles.emplace(key, std::move(profile));
-    }
-  }
-  // Model-quality post-pass: per cell, drift of the test partition against
-  // a train-time baseline, plus calibration (Falls) or error quantiles
-  // (regression) of the test predictions. Serial, pure functions of the
-  // already-trained models and partitions — like the profiles above, it
-  // feeds only the manifest (and gauges), never REPORT.md.
-  {
-    TraceSpan quality_span("study.model_quality", "study");
-    for (auto& [key, cell] : study.cells) {
-      if (cell.train.num_rows() == 0 || cell.test.num_rows() == 0) continue;
-      if (cell.model == nullptr) continue;
-      MYSAWH_ASSIGN_OR_RETURN(std::vector<double> train_preds,
-                              cell.model->PredictBatch(cell.train));
-      MYSAWH_ASSIGN_OR_RETURN(std::vector<double> test_preds,
-                              cell.model->PredictBatch(cell.test));
-      MYSAWH_ASSIGN_OR_RETURN(
-          DriftBaseline baseline,
-          BuildDriftBaseline(cell.train, train_preds, config.drift_bins));
-      MYSAWH_ASSIGN_OR_RETURN(
-          DriftReport drift,
-          EvaluateDrift(baseline, cell.test, test_preds,
-                        config.drift_thresholds));
-      study.drift_jsons.emplace(key, DriftReportJson(drift));
-      const std::string cell_name = StudyCellName(key);
-      const std::vector<double>& labels = cell.test.labels();
-      if (cell.is_classification) {
-        MYSAWH_ASSIGN_OR_RETURN(
-            CalibrationReport calibration,
-            ComputeCalibration(labels, test_preds, config.calibration_bins));
-        PublishCalibrationGauges(cell_name, calibration);
-        study.calibration_jsons.emplace(key, CalibrationJson(calibration));
-      } else {
-        MYSAWH_ASSIGN_OR_RETURN(ErrorQuantiles quantiles,
-                                ComputeErrorQuantiles(labels, test_preds));
-        PublishErrorQuantileGauges(cell_name, quantiles);
-        study.calibration_jsons.emplace(key, ErrorQuantilesJson(quantiles));
-      }
-    }
+  // Cells resumed from a checkpoint carry only their metrics, not their
+  // partitions, so they have no profile, drift or calibration entry.
+  for (CellRun& cell : cells) {
+    MYSAWH_ASSIGN_OR_RETURN(ExperimentResult result, std::move(cell.result));
+    study.cells.emplace(cell.key, std::move(result));
+    study.timings.emplace(cell.key, cell.timing);
+    if (!cell.post_pass.has_value()) continue;
+    MYSAWH_ASSIGN_OR_RETURN(PostPass post, std::move(*cell.post_pass));
+    study.profiles.emplace(cell.key, std::move(post.profile));
+    study.drift_jsons.emplace(cell.key, std::move(post.drift_json));
+    study.calibration_jsons.emplace(cell.key,
+                                    std::move(post.calibration_json));
   }
   return study;
 }

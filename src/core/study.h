@@ -20,7 +20,7 @@ struct StudyConfig {
   EvalProtocol protocol;
   /// Model family trained in every cell (kGbt reproduces the paper).
   ModelFamily model_family = ModelFamily::kGbt;
-  /// Worker threads for the 12-cell grid; 0 picks the hardware count,
+  /// Worker threads for the study's fits; 0 picks the hardware count,
   /// 1 runs sequentially. Results are identical for any thread count:
   /// each cell derives its randomness solely from `protocol.seed`.
   int num_threads = 0;
@@ -71,9 +71,11 @@ std::string StudyCellName(const StudyCellKey& key);
 /// the run manifest only — ToMarkdown() never reads it, so a traced run's
 /// REPORT.md stays bit-identical to an untraced one.
 struct CellTiming {
+  /// Summed wall time of the cell's tasks (planning, its fits, assembly);
+  /// the cell's busy time on the pool. Its fits interleave with other
+  /// cells' fits, so this is not an elapsed interval.
   double wall_ms = 0.0;
-  /// Thread CPU time of the cell body (CLOCK_THREAD_CPUTIME_ID); excludes
-  /// work the cell fanned out to other pool workers.
+  /// Summed thread CPU time of the same tasks (CLOCK_THREAD_CPUTIME_ID).
   double cpu_ms = 0.0;
   /// True when the cell was loaded from a checkpoint instead of computed.
   bool resumed = false;
@@ -110,11 +112,19 @@ struct StudyResult {
   std::string ToMarkdown() const;
 };
 
+/// Relative cost of fit `fit` of `plan` (rows x levels x sampled features
+/// x rounds for GBT; rows x features otherwise). RunFullStudy only uses it
+/// to start the longest fits first; it never affects a result.
+double EstimateFitCost(const ExperimentPlan& plan, int fit);
+
 /// Runs the full DD-vs-KD study: generates the cohort, builds the aligned
 /// sample sets for each outcome, and evaluates all twelve grid cells with
-/// the default per-cell hyperparameters. Cells run concurrently on a
-/// thread pool sized by `config.num_threads`; the result is deterministic
-/// regardless of parallelism.
+/// the default per-cell hyperparameters. The unit of parallelism is the
+/// fit, not the cell: the 12 x (cv_folds + 1) fits run on one pool sized
+/// by `config.num_threads`, longest (EstimateFitCost) first, and the fit
+/// that completes a cell assembles and checkpoints it. Every fit writes
+/// only its own slot, so the result is deterministic regardless of
+/// parallelism.
 Result<StudyResult> RunFullStudy(const StudyConfig& config);
 
 }  // namespace mysawh::core

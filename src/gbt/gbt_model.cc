@@ -23,12 +23,20 @@ Result<GbtModel> GbtModel::Train(const Dataset& train, const GbtParams& params,
   return model;
 }
 
+uint64_t GbtModel::fingerprint() const {
+  if (fingerprint_ == nullptr) return 0;
+  std::call_once(fingerprint_->once, [this] {
+    const std::string serialized = Serialize();
+    fingerprint_->value =
+        core::HashBytes(serialized.data(), serialized.size());
+  });
+  return fingerprint_->value;
+}
+
 void GbtModel::CompileFlat() {
-  // Fingerprint the canonical serialized form once per (re)compile — the
-  // only times the forest can change — so the audit hooks below never
-  // hash on the prediction path.
-  const std::string serialized = Serialize();
-  fingerprint_ = core::HashBytes(serialized.data(), serialized.size());
+  // A (re)compile is the only time the forest can change, so it is where
+  // the fingerprint of the old trees is dropped.
+  fingerprint_ = std::make_shared<Fingerprint>();
   flat_.reset();
   Result<FlatForest> compiled = FlatForest::Compile(trees_, num_features());
   if (compiled.ok()) {
@@ -113,7 +121,7 @@ Result<std::vector<double>> GbtModel::Predict(const Dataset& data) const {
   // disarmed, and always on the calling thread after the parallel loops,
   // so observation can never change what was computed.
   if (core::AuditEnabled()) {
-    core::AuditLog::Global().RecordPredictBatch(fingerprint_, data, raw);
+    core::AuditLog::Global().RecordPredictBatch(fingerprint(), data, raw);
   }
   if (core::DriftMonitoringEnabled()) {
     core::DriftMonitorRuntime::Global().ObserveBatch(data, raw);

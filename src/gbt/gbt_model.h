@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -99,10 +100,12 @@ class GbtModel : public model::Model {
   /// counts `gbt.predict.flat_compile_fallbacks`.
   void CompileFlat();
 
-  /// FNV-1a fingerprint of Serialize(), computed by CompileFlat (i.e. by
-  /// Train and Deserialize). Names the exact model in every audit-log
-  /// record (core/audit_log.h); 0 only for a default-constructed model.
-  uint64_t fingerprint() const { return fingerprint_; }
+  /// FNV-1a fingerprint of Serialize(). Names the exact model in every
+  /// audit-log record (core/audit_log.h); 0 only for a default-constructed
+  /// model. Computed on first use and shared by copies: serializing and
+  /// hashing a forest costs about a tenth of training it, and most models
+  /// (every CV fit of a study) are never audited.
+  uint64_t fingerprint() const;
 
   const std::vector<RegressionTree>& trees() const { return trees_; }
   const std::vector<std::string>& feature_names() const {
@@ -141,7 +144,13 @@ class GbtModel : public model::Model {
   ObjectiveType objective_type_ = ObjectiveType::kSquaredError;
   double base_score_ = 0.0;
   int best_iteration_ = -1;
-  uint64_t fingerprint_ = 0;
+  /// The lazily computed fingerprint; CompileFlat, which every change of
+  /// the trees goes through, starts a fresh one.
+  struct Fingerprint {
+    std::once_flag once;
+    uint64_t value = 0;
+  };
+  std::shared_ptr<Fingerprint> fingerprint_;
   // Compiled inference form; shared so copies of a model reuse one block.
   // Not serialized: Serialize() stays byte-stable across this optimization
   // and Deserialize recompiles.

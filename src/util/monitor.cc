@@ -65,7 +65,7 @@ Monitor::Monitor(MonitorOptions options)
       "gbt.predict.flat_rows", "gbt.predict.rows",
       "gbt.train.rounds_completed", "gbt.train.trees_grown",
       "shap.batch_flat_rows", "shap.batch_rows",
-      "study.cells_computed", "study.resume_hits",
+      "study.cells_computed", "study.fits_computed", "study.resume_hits",
   };
 }
 
@@ -255,6 +255,8 @@ std::string Monitor::BuildHeartbeatJson(bool final_heartbeat) {
       registry.GetCounter("study.resume_hits")->Value();
   const int64_t cells_total =
       registry.GetGauge("study.cells_total")->Value();
+  const int64_t fits_done = registry.GetCounter("study.fits_computed")->Value();
+  const int64_t fits_total = registry.GetGauge("study.fits_total")->Value();
   const int64_t queue_depth =
       registry.GetGauge("thread_pool.queue_depth")->Value();
 
@@ -267,7 +269,9 @@ std::string Monitor::BuildHeartbeatJson(bool final_heartbeat) {
      << ",\"resource\":" << ResourceSampleJson(sample)
      << ",\"progress\":{" << progress.str() << "}"
      << ",\"study\":{\"cells_done\":" << cells_done
-     << ",\"cells_total\":" << cells_total << "}"
+     << ",\"cells_total\":" << cells_total
+     << ",\"fits_done\":" << fits_done << ",\"fits_total\":" << fits_total
+     << "}"
      << ",\"queue_depth\":" << queue_depth
      << ",\"counters_delta\":{" << delta.str() << "}"
      << ",\"events\":[";

@@ -40,9 +40,28 @@ PoolMetrics& Metrics() {
   return metrics;
 }
 
+/// True while the calling thread runs a pool task, on a worker or inline.
+/// Parallel work issued from inside a task runs inline on that thread: the
+/// outer level already occupies the workers, and a task that blocked in
+/// Wait() on the pool it runs on would deadlock.
+thread_local bool t_in_task = false;
+
+/// Marks the calling thread as running a task for its lifetime.
+class InTask {
+ public:
+  InTask() : saved_(t_in_task) { t_in_task = true; }
+  ~InTask() { t_in_task = saved_; }
+  InTask(const InTask&) = delete;
+  InTask& operator=(const InTask&) = delete;
+
+ private:
+  bool saved_;
+};
+
 /// Runs one task body under the drop failpoint, timing it into the task
 /// latency histogram.
 void RunAccounted(const std::function<void()>& task) {
+  InTask in_task;
   if (TaskDropped()) {
     Metrics().dropped->Increment();
     return;
@@ -77,8 +96,10 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
+bool ThreadPool::RunsInline() const { return workers_.empty() || t_in_task; }
+
 void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
+  if (RunsInline()) {
     Metrics().inline_runs->Increment();
     RunAccounted(task);
     return;
@@ -94,7 +115,7 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::Wait() {
-  if (workers_.empty()) return;
+  if (RunsInline()) return;
   std::unique_lock<std::mutex> lock(mutex_);
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
@@ -107,16 +128,13 @@ int64_t ThreadPool::PendingTasks() const {
 void ThreadPool::ParallelFor(int64_t count,
                              const std::function<void(int64_t)>& fn) {
   if (count <= 0) return;
-  if (workers_.empty()) {
+  if (RunsInline()) {
     // One dispatch per chunk-equivalent would be ambiguous inline; treat
     // the whole inline range as one dispatched task, mirroring Submit.
     Metrics().inline_runs->Increment();
-    if (TaskDropped()) {
-      Metrics().dropped->Increment();
-      return;
-    }
-    ScopedLatencyTimer timer(Metrics().task_us);
-    for (int64_t i = 0; i < count; ++i) fn(i);
+    RunAccounted([count, &fn] {
+      for (int64_t i = 0; i < count; ++i) fn(i);
+    });
     return;
   }
   const int64_t num_chunks =
@@ -136,17 +154,14 @@ void ThreadPool::ParallelForChunks(
     const std::function<void(int64_t chunk, int64_t begin, int64_t end)>&
         fn) {
   if (count <= 0 || chunk_size <= 0) return;
-  if (workers_.empty()) {
+  if (RunsInline()) {
     Metrics().inline_runs->Increment();
-    if (TaskDropped()) {
-      Metrics().dropped->Increment();
-      return;
-    }
-    ScopedLatencyTimer timer(Metrics().task_us);
-    int64_t chunk = 0;
-    for (int64_t begin = 0; begin < count; begin += chunk_size, ++chunk) {
-      fn(chunk, begin, std::min(begin + chunk_size, count));
-    }
+    RunAccounted([count, chunk_size, &fn] {
+      int64_t chunk = 0;
+      for (int64_t begin = 0; begin < count; begin += chunk_size, ++chunk) {
+        fn(chunk, begin, std::min(begin + chunk_size, count));
+      }
+    });
     return;
   }
   int64_t chunk = 0;

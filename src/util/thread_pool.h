@@ -16,6 +16,13 @@ namespace mysawh {
 /// calling thread, which keeps single-core environments overhead-free and
 /// makes results trivially deterministic.
 ///
+/// Nesting: work issued from inside a running task — on a worker, or inline
+/// — runs inline on that thread, whichever pool it is issued to. Only the
+/// outermost level fans out, so a study that schedules its fits on one pool
+/// keeps every core busy with exactly one fit, the predictions inside a fit
+/// do not oversubscribe the host, and a task may call ParallelFor on the
+/// pool it runs on without deadlocking.
+///
 /// Fault injection: the dispatch path hits the `thread_pool/task`
 /// failpoint once per dispatched task (once per inline ParallelFor* call).
 /// A triggering hit drops the task body but still accounts its completion,
@@ -33,10 +40,12 @@ class ThreadPool {
   /// Number of worker threads (0 when running inline).
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues `task`; it may run on any worker (or inline).
+  /// Enqueues `task`; it may run on any worker (or inline). Workers take
+  /// tasks in submission order.
   void Submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished.
+  /// Blocks until every submitted task has finished. Returns at once when
+  /// called from inside a task, whose own submissions ran inline.
   void Wait();
 
   /// Tasks submitted but not yet picked up by a worker (the queue
@@ -47,10 +56,8 @@ class ThreadPool {
 
   /// Runs `fn(i)` for i in [0, count), partitioned into contiguous chunks
   /// across the pool, and blocks until all iterations complete. `fn` must be
-  /// safe to call concurrently for distinct i.
-  ///
-  /// Must not be called from inside a task running on this pool: Wait()
-  /// counts the caller's own task as in flight and would deadlock.
+  /// safe to call concurrently for distinct i. Runs inline when called from
+  /// inside a task (see the nesting rule above).
   void ParallelFor(int64_t count, const std::function<void(int64_t)>& fn);
 
   /// Runs `fn(chunk, begin, end)` over the fixed-size partition of
@@ -66,6 +73,9 @@ class ThreadPool {
           fn);
 
  private:
+  /// True when work issued now runs on the calling thread: the pool has no
+  /// workers, or the caller is itself running a pool task.
+  bool RunsInline() const;
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
@@ -80,8 +90,8 @@ class ThreadPool {
 /// A process-wide shared pool sized to the hardware concurrency, for batch
 /// workloads (prediction, SHAP) that have no per-call thread configuration.
 /// Lazily constructed on first use; on single-core machines it runs inline.
-/// Safe to use from several caller threads at once, but the no-reentrancy
-/// rule of ParallelFor applies here too.
+/// Safe to use from several caller threads at once; calls from inside a
+/// pool task run inline (see the nesting rule of ThreadPool).
 ThreadPool& DefaultPool();
 
 }  // namespace mysawh

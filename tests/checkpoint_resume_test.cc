@@ -28,7 +28,7 @@ StudyConfig FastConfig() {
   config.cohort.clinics = {{"A", 30, 0.0, 1.0}, {"B", 15, 0.0, 1.4}};
   config.protocol.cv_folds = 3;
   // Sequential, so "killed after K cells" is a well-defined prefix of the
-  // fixed grid order.
+  // fixed order in which the longest-first fit schedule completes cells.
   config.num_threads = 1;
   return config;
 }

@@ -135,6 +135,69 @@ TEST(EvaluationTest, ValidatesArguments) {
                    .ok());
 }
 
+TEST(EvaluationTest, FitsInAnyOrderAssembleToRunExperiment) {
+  // The study runs a cell's fits on whichever workers are free, in any
+  // order; assembling them must give exactly the sequential result.
+  const auto& fixture = GetFixture();
+  EvalProtocol protocol;
+  protocol.cv_folds = 3;
+  for (const auto& [samples, outcome] :
+       {std::pair<const Dataset*, Outcome>{&fixture.qol.dd, Outcome::kQol},
+        std::pair<const Dataset*, Outcome>{&fixture.falls.dd,
+                                           Outcome::kFalls}}) {
+    ModelFamilyConfig config;
+    config.gbt = FastParams(outcome, Approach::kDataDriven);
+    const ExperimentResult sequential =
+        RunExperiment(*samples, outcome, Approach::kDataDriven, true, config,
+                      protocol)
+            .value();
+    ExperimentPlan plan = PlanExperiment(*samples, outcome,
+                                         Approach::kDataDriven, true, config,
+                                         protocol)
+                              .value();
+    ASSERT_EQ(plan.num_fits(), 4);
+    std::vector<Result<FitResult>> fits;
+    for (int fit = 0; fit < plan.num_fits(); ++fit) {
+      fits.emplace_back(Status::Internal("not run"));
+    }
+    for (int fit = plan.final_fit(); fit >= 0; --fit) {
+      fits[static_cast<size_t>(fit)] = RunFit(plan, fit);
+    }
+    const ExperimentResult assembled =
+        FinishExperiment(std::move(plan), std::move(fits)).value();
+    EXPECT_TRUE(assembled.model->Serialize() == sequential.model->Serialize());
+    EXPECT_EQ(assembled.HeadlineMetric(), sequential.HeadlineMetric());
+    EXPECT_EQ(assembled.cv_regression.mae, sequential.cv_regression.mae);
+    EXPECT_EQ(assembled.cv_classification.f1_true,
+              sequential.cv_classification.f1_true);
+    EXPECT_EQ(assembled.train.labels(), sequential.train.labels());
+    EXPECT_EQ(assembled.test.labels(), sequential.test.labels());
+  }
+}
+
+TEST(EvaluationTest, FinishReportsFirstFailedFitInFitOrder) {
+  const auto& fixture = GetFixture();
+  EvalProtocol protocol;
+  protocol.cv_folds = 3;
+  ModelFamilyConfig config;
+  config.gbt = FastParams(Outcome::kQol, Approach::kKnowledgeDriven);
+  ExperimentPlan plan = PlanExperiment(fixture.qol.kd, Outcome::kQol,
+                                       Approach::kKnowledgeDriven, false,
+                                       config, protocol)
+                            .value();
+  EXPECT_EQ(RunFit(plan, -1).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunFit(plan, plan.num_fits()).status().code(),
+            StatusCode::kInvalidArgument);
+  std::vector<Result<FitResult>> fits;
+  fits.push_back(RunFit(plan, 0));
+  fits.emplace_back(Status::DataLoss("fold 1"));
+  fits.emplace_back(Status::IoError("fold 2"));
+  fits.push_back(RunFit(plan, plan.final_fit()));
+  const Result<ExperimentResult> result =
+      FinishExperiment(std::move(plan), std::move(fits));
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+}
+
 TEST(EvaluationTest, DefaultParamsMatchOutcome) {
   const auto falls_params =
       DefaultGbtParams(Outcome::kFalls, Approach::kDataDriven);

@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 
+#include "core/audit_log.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -165,6 +166,26 @@ TEST(GbtModelTest, SerializationRoundTripsPredictions) {
     EXPECT_DOUBLE_EQ(loaded.PredictRow(test.row(r)),
                      model.PredictRow(test.row(r)));
   }
+}
+
+TEST(GbtModelTest, FingerprintHashesSerializeAndIsSharedByCopies) {
+  EXPECT_EQ(GbtModel().fingerprint(), 0u);
+  const Dataset train = MakeRegressionData(300, 5);
+  GbtParams params;
+  params.num_trees = 20;
+  const GbtModel model = GbtModel::Train(train, params).value();
+  const std::string serialized = model.Serialize();
+  const uint64_t expected =
+      core::HashBytes(serialized.data(), serialized.size());
+  const GbtModel copy = model;  // copied before the first use
+  EXPECT_EQ(copy.fingerprint(), expected);
+  EXPECT_EQ(model.fingerprint(), expected);
+  // A reloaded model is the same model.
+  EXPECT_EQ(GbtModel::Deserialize(serialized).value().fingerprint(),
+            expected);
+  // A different forest is a different model.
+  params.num_trees = 21;
+  EXPECT_NE(GbtModel::Train(train, params).value().fingerprint(), expected);
 }
 
 TEST(GbtModelTest, SaveLoadFile) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
@@ -108,6 +109,66 @@ TEST(ThreadPoolTest, InlineModeHasNoBacklog) {
   ThreadPool pool(1);
   pool.Submit([] {});
   EXPECT_EQ(pool.PendingTasks(), 0);
+}
+
+TEST(ThreadPoolTest, NestedWorkRunsInlineOnTheIssuingWorker) {
+  // The study's fits run on one pool and call DefaultPool() (prediction)
+  // and their own pool from inside their task: both must stay on the
+  // fit's worker, and neither may deadlock.
+  ThreadPool pool(4);
+  std::atomic<int> off_thread{0};
+  std::atomic<int64_t> inner_sum{0};
+  pool.ParallelFor(8, [&](int64_t) {
+    const std::thread::id outer = std::this_thread::get_id();
+    auto inner = [&](int64_t i) {
+      if (std::this_thread::get_id() != outer) off_thread.fetch_add(1);
+      inner_sum.fetch_add(i);
+    };
+    pool.ParallelFor(100, inner);
+    DefaultPool().ParallelFor(100, inner);
+    pool.ParallelForChunks(100, 7, [&](int64_t, int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) inner(i);
+    });
+    pool.Submit([&] { inner(0); });
+    pool.Wait();  // returns at once: the submission above ran inline
+  });
+  EXPECT_EQ(off_thread.load(), 0);
+  EXPECT_EQ(inner_sum.load(), 8 * 3 * (99 * 100 / 2));
+}
+
+TEST(ThreadPoolTest, InlinePoolTasksAlsoNestInline) {
+  // A one-thread study runs its fits inline on the caller; their nested
+  // work must not fan out to DefaultPool() either.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> off_thread{0};
+  pool.Submit([&] {
+    DefaultPool().ParallelFor(64, [&](int64_t) {
+      if (std::this_thread::get_id() != caller) off_thread.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(ThreadPoolTest, CallerLeavesTaskModeWhenTheTaskEnds) {
+  // After an inline task returns, work issued from the caller fans out
+  // again (when the pool has workers to fan out to).
+  ThreadPool inline_pool(1);
+  inline_pool.ParallelFor(4, [](int64_t) {});
+  ThreadPool pool(2);
+  std::mutex m;
+  std::condition_variable cv;
+  int started = 0;
+  // Each of the two chunks blocks until both have started, which only
+  // happens if they run on two different workers at once.
+  pool.ParallelForChunks(2, 1, [&](int64_t, int64_t, int64_t) {
+    std::unique_lock<std::mutex> lock(m);
+    ++started;
+    cv.notify_all();
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return started == 2; }));
+  });
+  EXPECT_EQ(started, 2);
 }
 
 class ThreadPoolFailureTest : public ::testing::Test {

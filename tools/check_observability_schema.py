@@ -117,6 +117,7 @@ def check_metrics(path):
         "gbt.predict.flat_rows",
         "gbt.train.hist_nodes_direct",
         "study.cells_computed",
+        "study.fits_computed",
         "thread_pool.tasks_dispatched",
     )
     for name in required:
@@ -305,11 +306,13 @@ def check_status_object(status, where):
             fail(f"{where}: progress counter {name} must be a "
                  f"nonnegative int")
     study = status["study"]
-    for key in ("cells_done", "cells_total"):
+    for key in ("cells_done", "cells_total", "fits_done", "fits_total"):
         if key not in study or study[key] < 0:
             fail(f"{where}: study.{key} must be a nonnegative int")
     if study["cells_total"] > 0 and study["cells_done"] > study["cells_total"]:
         fail(f"{where}: study claims more cells done than exist")
+    if study["fits_total"] > 0 and study["fits_done"] > study["fits_total"]:
+        fail(f"{where}: study claims more fits done than exist")
     if status["queue_depth"] < 0:
         fail(f"{where}: negative queue_depth")
     for name, delta in status["counters_delta"].items():

@@ -41,6 +41,9 @@ def render(status):
     total = study.get("cells_total", 0)
     if total:
         line += f"  study {study.get('cells_done', 0)}/{total}"
+        fits = study.get("fits_total", 0)
+        if fits:
+            line += f" cells, {study.get('fits_done', 0)}/{fits} fits"
     if status.get("final"):
         line += "  [final]"
     return line
