@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "bench/perf_json_main.h"
 #include "core/audit_log.h"
 #include "core/drift_monitor.h"
 #include "data/dataset.h"
@@ -231,7 +230,7 @@ BENCHMARK(BM_TrainDepth)->Arg(2)->Arg(4)->Arg(6)->Arg(8)
 /// Batch prediction through the compiled flat-forest kernel (the default
 /// dispatch). BM_PredictBatchRef is the reference-walker twin over the
 /// same model and rows; their ratio is the compilation speedup claimed in
-/// DESIGN.md and gated by tools/bench_diff.py.
+/// DESIGN.md.
 void BM_PredictBatch(benchmark::State& state) {
   const Dataset train = MakeData(2000, 32, 3);
   GbtParams params = BenchParams(TreeMethod::kHist);
@@ -248,7 +247,8 @@ BENCHMARK(BM_PredictBatch)->Arg(20)->Arg(100)->Arg(300)
     ->Unit(benchmark::kMillisecond);
 
 /// Reference twin of BM_PredictBatch: the per-row pointer walker over the
-/// original tree nodes, bypassing the flat forest.
+/// original tree nodes, bypassing the flat forest. It returns raw margins;
+/// the squared-error objective's transform is the identity.
 void BM_PredictBatchRef(benchmark::State& state) {
   const Dataset train = MakeData(2000, 32, 3);
   GbtParams params = BenchParams(TreeMethod::kHist);
@@ -256,7 +256,7 @@ void BM_PredictBatchRef(benchmark::State& state) {
   const GbtModel model = GbtModel::Train(train, params).value();
   const Dataset test = MakeData(1000, 32, 4);
   for (auto _ : state) {
-    auto preds = model.PredictReference(test);
+    auto preds = model.PredictRawReference(test);
     benchmark::DoNotOptimize(preds);
   }
   state.SetItemsProcessed(state.iterations() * test.num_rows());
@@ -267,8 +267,7 @@ BENCHMARK(BM_PredictBatchRef)->Arg(20)->Arg(100)->Arg(300)
 /// Overhead twin of BM_PredictBatch/300: the same batch predict with the
 /// audit log armed at the default 1-in-16 sampling. Reconfiguring per
 /// iteration clears the record buffer so memory stays bounded; the delta
-/// over BM_PredictBatch is the audit overhead budget (<= 1%) gated by
-/// tools/bench_diff.py.
+/// over BM_PredictBatch is the audit overhead budget (<= 1%).
 void BM_AuditLog(benchmark::State& state) {
   const Dataset train = MakeData(2000, 32, 3);
   GbtParams params = BenchParams(TreeMethod::kHist);
@@ -327,6 +326,4 @@ BENCHMARK(BM_Serialize)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return mysawh::bench::RunPerfBenchmarks(argc, argv, "BENCH_perf.json");
-}
+BENCHMARK_MAIN();

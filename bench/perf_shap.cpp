@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/perf_json_main.h"
 #include "data/dataset.h"
 #include "explain/tree_shap.h"
 #include "gbt/gbt_model.h"
@@ -110,6 +109,4 @@ BENCHMARK(BM_ShapBatchRef)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return mysawh::bench::RunPerfBenchmarks(argc, argv, "BENCH_perf.json");
-}
+BENCHMARK_MAIN();

@@ -139,10 +139,6 @@ Result<DataQualityProfile> ProfilePartition(const Dataset& train,
     feature.mean_train = in_train.mean;
     feature.mean_test = in_test.mean;
     feature.stddev_train = in_train.stddev;
-    if (in_train.present > 0 && in_test.present > 0 &&
-        in_train.stddev > 0.0) {
-      feature.drift = std::abs(in_train.mean - in_test.mean) / in_train.stddev;
-    }
     const gbt::BinOccupancy& bins = occupancy[static_cast<size_t>(f)];
     feature.num_bins = bins.num_bins;
     feature.occupied_bins = bins.occupied_bins;
@@ -156,11 +152,6 @@ Result<DataQualityProfile> ProfilePartition(const Dataset& train,
         feature.missing_train > profile.max_missing_train) {
       profile.max_missing_train = feature.missing_train;
       profile.max_missing_feature = feature.name;
-    }
-    if (profile.max_drift_feature.empty() ||
-        feature.drift > profile.max_drift) {
-      profile.max_drift = feature.drift;
-      profile.max_drift_feature = feature.name;
     }
     profile.features.push_back(std::move(feature));
   }
@@ -188,9 +179,6 @@ std::string DataQualityJson(const DataQualityProfile& profile) {
   os << "},\"max_missing_train\":" << TelemetryDouble(profile.max_missing_train)
      << ",\"max_missing_feature\":\""
      << TelemetryJsonEscape(profile.max_missing_feature) << "\""
-     << ",\"max_drift\":" << TelemetryDouble(profile.max_drift)
-     << ",\"max_drift_feature\":\""
-     << TelemetryJsonEscape(profile.max_drift_feature) << "\""
      << ",\"mean_bin_occupancy\":"
      << TelemetryDouble(profile.mean_bin_occupancy) << ",\"features\":[";
   for (size_t f = 0; f < profile.features.size(); ++f) {
@@ -202,7 +190,6 @@ std::string DataQualityJson(const DataQualityProfile& profile) {
        << ",\"mean_train\":" << TelemetryDouble(feature.mean_train)
        << ",\"mean_test\":" << TelemetryDouble(feature.mean_test)
        << ",\"stddev_train\":" << TelemetryDouble(feature.stddev_train)
-       << ",\"drift\":" << TelemetryDouble(feature.drift)
        << ",\"num_bins\":" << feature.num_bins
        << ",\"occupied_bins\":" << feature.occupied_bins
        << ",\"max_bin_count\":" << feature.max_bin_count << "}";

@@ -10,10 +10,11 @@
 namespace mysawh::core {
 
 /// Data-quality profile of one study cell's train/test partition: the
-/// missingness, outcome balance, histogram-bin occupancy, and train/test
-/// drift diagnostics that the paper family's learning-curve analyses lean
-/// on (class imbalance dominates the Falls task; missingness dominates the
-/// PRO features). Attached to every cell of the run manifest
+/// missingness, outcome balance, and histogram-bin occupancy diagnostics
+/// that the paper family's learning-curve analyses lean on (class
+/// imbalance dominates the Falls task; missingness dominates the PRO
+/// features). Train/test drift is the manifest's `drift` block
+/// (core/drift_monitor.h). Attached to every cell of the run manifest
 /// (`data_quality` block, see docs/observability.md) — never to
 /// REPORT.md, so reports stay bit-identical with or without profiling.
 ///
@@ -28,9 +29,6 @@ struct FeatureQuality {
   double mean_train = 0.0;     ///< Mean over present train cells (NaN if none).
   double mean_test = 0.0;      ///< ... over present test cells.
   double stddev_train = 0.0;   ///< Population stddev over present train cells.
-  /// Standardized mean difference |mean_train - mean_test| / stddev_train
-  /// (0 when the train side is constant or either side is all-missing).
-  double drift = 0.0;
   int num_bins = 0;            ///< Histogram bins from BuildBinned on train.
   int occupied_bins = 0;       ///< Bins holding at least one train row.
   int64_t max_bin_count = 0;   ///< Train rows in the fullest bin.
@@ -61,8 +59,6 @@ struct DataQualityProfile {
   // Aggregates for dashboards that do not want 59 feature rows.
   double max_missing_train = 0.0;
   std::string max_missing_feature;
-  double max_drift = 0.0;
-  std::string max_drift_feature;
   double mean_bin_occupancy = 0.0;  ///< Mean occupied/num_bins over features.
 };
 

@@ -2,7 +2,6 @@
 #define MYSAWH_GBT_FLAT_FOREST_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "data/dataset.h"
@@ -130,37 +129,10 @@ class FlatForest {
   void PredictRaw(const Dataset& data, double base_score, double* out,
                   ThreadPool* pool = nullptr) const;
 
-  /// Structural validation, as strict as RegressionTree::Validate: child
-  /// refs in range and acyclic (internal children strictly after the
-  /// parent, inside the parent's tree), features inside the compiled
-  /// feature space, bin thresholds indexing a real cut of their feature,
-  /// cut arrays finite and strictly increasing, cover fractions finite,
-  /// non-negative, and summing to at most 1 (the flat form of "children
-  /// cover must not exceed the parent's"). Violations return DataLoss:
-  /// a structurally broken block came from a corrupt artifact, not a
-  /// caller mistake. Mandatory on every load path — the predict kernels
-  /// index rows and node arrays without bounds checks.
-  Status Validate() const;
-
-  /// Line-oriented text serialization ("mysawh-flat-forest v1", hex-exact
-  /// doubles) that round-trips bit-identically through Deserialize.
-  std::string Serialize() const;
-  /// Parses Serialize() output and Validate()s the result.
-  static Result<FlatForest> Deserialize(const std::string& text);
-
-  /// Writes Serialize() inside the checksummed `mysawh-artifact v1`
-  /// envelope via the atomic-write protocol (crash-safe, corruption
-  /// detected at read time).
-  Status SaveToFile(const std::string& path) const;
-  /// Reads a SaveToFile artifact: envelope verified (corruption ->
-  /// DataLoss), payload parsed and Validate()d.
-  static Result<FlatForest> LoadFromFile(const std::string& path);
-
  private:
   /// Recomputes the derived kernel state from the canonical arrays:
   /// per-tree depths (and max_depth_), the packed per-node metadata words,
-  /// and the interleaved child-ref pairs. Called at the end of Compile and
-  /// Deserialize — derived state is never serialized or trusted from disk.
+  /// and the interleaved child-ref pairs. Called at the end of Compile.
   void BuildDerivedState();
 
   /// Column-major predict kernel for one block: `bins_cm` is a
@@ -183,7 +155,7 @@ class FlatForest {
   // Height of each tree (0 for a leaf root). The predict kernel runs every
   // row exactly this many branchless steps (finished rows self-loop on
   // their leaf ref), so the walk has no per-level exit branch. Derived
-  // from the links — recomputed on load, never serialized.
+  // from the links.
   std::vector<int32_t> tree_depths_;
   // Tree t's internal nodes are [tree_node_offsets_[t],
   // tree_node_offsets_[t+1]), its leaves likewise in tree_leaf_offsets_.
@@ -201,7 +173,7 @@ class FlatForest {
 
   std::vector<double> leaf_values_;
 
-  // Derived kernel tables (rebuilt by BuildDerivedState, never serialized).
+  // Derived kernel tables (built by BuildDerivedState).
   // The walk kernel sees an augmented node space: internal nodes first,
   // then one self-looping pseudo-node per leaf (children point at itself,
   // metadata 0), so a walk step is always meta load -> panel byte ->

@@ -129,16 +129,6 @@ Result<std::vector<double>> GbtModel::Predict(const Dataset& data) const {
   return raw;
 }
 
-Result<std::vector<double>> GbtModel::PredictReference(
-    const Dataset& data) const {
-  MYSAWH_ASSIGN_OR_RETURN(std::vector<double> raw, PredictRawReference(data));
-  const auto objective = MakeObjective(objective_type_);
-  DefaultPool().ParallelFor(static_cast<int64_t>(raw.size()), [&](int64_t i) {
-    raw[static_cast<size_t>(i)] = objective->Transform(raw[static_cast<size_t>(i)]);
-  });
-  return raw;
-}
-
 Result<std::vector<std::vector<double>>> GbtModel::PredictStaged(
     const Dataset& data, int stride) const {
   if (stride < 1) return Status::InvalidArgument("stride must be >= 1");

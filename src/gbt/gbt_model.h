@@ -64,10 +64,9 @@ class GbtModel : public model::Model {
   /// Batch raw margins (same dispatch as Predict).
   Result<std::vector<double>> PredictRaw(const Dataset& data) const;
 
-  /// Reference batch paths: the uncompiled per-row pointer walker. Always
-  /// available; the benchmark twins and equivalence tests measure the flat
-  /// kernels against these.
-  Result<std::vector<double>> PredictReference(const Dataset& data) const;
+  /// Reference batch raw margins: the uncompiled per-row pointer walker.
+  /// Always available; the benchmark twins and equivalence tests measure
+  /// the flat kernels against it.
   Result<std::vector<double>> PredictRawReference(const Dataset& data) const;
 
   // model::Model interface.

@@ -11,11 +11,11 @@
 namespace mysawh {
 
 /// Minimal strict JSON reader for the pipeline's own artifacts (run
-/// manifests, telemetry JSONL lines, BENCH_perf.json). Recursive-descent
-/// over the full JSON grammar with a nesting-depth cap; rejects trailing
-/// garbage, comments, and unquoted keys. Object member order is preserved
-/// (the writers emit deterministically ordered objects, and the dashboard
-/// renderer keeps that order).
+/// manifests, telemetry JSONL lines). Recursive-descent over the full JSON
+/// grammar with a nesting-depth cap; rejects trailing garbage, comments,
+/// and unquoted keys. Object member order is preserved (the writers emit
+/// deterministically ordered objects, and `mysawh_cli report` keeps that
+/// order).
 ///
 /// This is a reader for trusted, machine-written input — errors come back
 /// as `InvalidArgument` with a byte offset, never as crashes, but the

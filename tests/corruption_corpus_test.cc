@@ -10,13 +10,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/audit_log.h"
 #include "data/dataset.h"
-#include "gbt/flat_forest.h"
 #include "gbt/gbt_model.h"
 #include "model/model.h"
 #include "util/csv.h"
@@ -205,129 +203,6 @@ TEST_F(CorruptionCorpusTest, MutatedChecksummedCsvAlwaysRejected) {
     WriteRaw(mutant_path, corpus[i]);
     auto read = ReadCsv(mutant_path, /*require_checksum=*/true);
     EXPECT_FALSE(read.ok()) << "mutation " << i << " was accepted";
-  }
-}
-
-/// A small trained model whose flat forest the flat-block tests mutate.
-gbt::GbtModel TrainSmallModel() {
-  Rng rng(13);
-  Dataset train = Dataset::Create({"x0", "x1", "x2"});
-  for (int i = 0; i < 200; ++i) {
-    const double x0 = rng.Uniform(-1.0, 1.0);
-    const double x1 = rng.Uniform(-1.0, 1.0);
-    const double x2 = rng.Uniform(-1.0, 1.0);
-    EXPECT_TRUE(train.AddRow({x0, x1, x2}, x0 + x1 * x2).ok());
-  }
-  gbt::GbtParams params;
-  params.num_trees = 8;
-  params.max_depth = 3;
-  return gbt::GbtModel::Train(train, params).value();
-}
-
-TEST_F(CorruptionCorpusTest, MutatedFlatForestFilesAlwaysRejected) {
-  const gbt::GbtModel model = TrainSmallModel();
-  ASSERT_NE(model.flat_forest(), nullptr);
-  const std::string path = Path("forest.flat");
-  ASSERT_TRUE(model.flat_forest()->SaveToFile(path).ok());
-  auto original_or = ReadFileToString(path);
-  ASSERT_TRUE(original_or.ok());
-
-  // Control: the untouched artifact loads.
-  ASSERT_TRUE(gbt::FlatForest::LoadFromFile(path).ok());
-
-  const std::vector<std::string> corpus = BuildMutations(*original_or);
-  ASSERT_GE(corpus.size(), 200u);
-  const std::string mutant_path = Path("mutant.flat");
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    WriteRaw(mutant_path, corpus[i]);
-    auto loaded = gbt::FlatForest::LoadFromFile(mutant_path);
-    EXPECT_FALSE(loaded.ok()) << "mutation " << i << " was accepted";
-  }
-}
-
-TEST_F(CorruptionCorpusTest, MutatedFlatPayloadsNeverCrashTheParser) {
-  // Past the envelope CRC: the raw payload mutated directly, so the flat
-  // parser and Validate() see every corruption. Under ASan/UBSan a missed
-  // bounds check here becomes a hard failure.
-  const gbt::GbtModel model = TrainSmallModel();
-  ASSERT_NE(model.flat_forest(), nullptr);
-  const std::string payload = model.flat_forest()->Serialize();
-  int64_t accepted = 0, rejected = 0;
-  for (const std::string& mutated : BuildMutations(payload)) {
-    auto parsed = gbt::FlatForest::Deserialize(mutated);
-    (parsed.ok() ? accepted : rejected) += 1;
-  }
-  EXPECT_GT(rejected, accepted);
-}
-
-TEST_F(CorruptionCorpusTest, FlatValidateRejectsTargetedCorruptionAsDataLoss) {
-  // Surgical single-field corruptions that parse cleanly but violate the
-  // structural invariants: Validate() must classify each as kDataLoss
-  // (a corrupt artifact, not a caller error).
-  const gbt::GbtModel model = TrainSmallModel();
-  ASSERT_NE(model.flat_forest(), nullptr);
-  const std::string payload = model.flat_forest()->Serialize();
-
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start < payload.size()) {
-    size_t end = payload.find('\n', start);
-    if (end == std::string::npos) end = payload.size();
-    lines.push_back(payload.substr(start, end - start));
-    start = end + 1;
-  }
-  auto join = [](const std::vector<std::string>& ls) {
-    std::string out;
-    for (const auto& l : ls) {
-      out += l;
-      out += '\n';
-    }
-    return out;
-  };
-  auto first_line_with = [&](const std::string& prefix) {
-    for (size_t i = 0; i < lines.size(); ++i) {
-      if (lines[i].rfind(prefix, 0) == 0) return i;
-    }
-    ADD_FAILURE() << "no line with prefix " << prefix;
-    return size_t{0};
-  };
-  // node <feature> <bin_threshold> <left> <right> <dl> <lf-hex> <rf-hex>
-  const size_t node_line = first_line_with("node ");
-  auto mutate_node_field = [&](size_t field, const std::string& value) {
-    std::vector<std::string> mutated = lines;
-    std::istringstream is(mutated[node_line]);
-    std::vector<std::string> fields;
-    std::string tok;
-    while (is >> tok) fields.push_back(tok);
-    fields[field] = value;
-    std::string rebuilt = fields[0];
-    for (size_t i = 1; i < fields.size(); ++i) rebuilt += " " + fields[i];
-    mutated[node_line] = rebuilt;
-    return join(mutated);
-  };
-
-  const struct {
-    const char* what;
-    std::string text;
-  } cases[] = {
-      // Split feature outside the compiled 3-feature space.
-      {"feature out of range", mutate_node_field(1, "2000")},
-      // Bin threshold 0 can never be reached (bins count cuts <= v).
-      {"bin threshold zero", mutate_node_field(2, "0")},
-      // Bin threshold beyond the feature's cut count.
-      {"bin threshold too large", mutate_node_field(2, "254")},
-      // Child ref far outside the node block.
-      {"child out of range", mutate_node_field(3, "1000000")},
-      // Self-loop: a child that is not strictly after its parent.
-      {"child cycle", mutate_node_field(3, "0")},
-      // Leaf ref outside the leaf array.
-      {"leaf out of range", mutate_node_field(4, "-1000000")},
-  };
-  for (const auto& test_case : cases) {
-    auto parsed = gbt::FlatForest::Deserialize(test_case.text);
-    ASSERT_FALSE(parsed.ok()) << test_case.what << " was accepted";
-    EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss)
-        << test_case.what << ": " << parsed.status().ToString();
   }
 }
 

@@ -1,5 +1,5 @@
 /// Golden tests of the per-cell data-quality profile: a tiny synthetic
-/// cohort with known missingness, drift, and class balance must produce
+/// cohort with known missingness and class balance must produce
 /// exactly the expected statistics, and the JSON rendering must be
 /// deterministic (the profile is a pure function of the partitions).
 
@@ -19,7 +19,7 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 /// Train partition with hand-designed pathologies:
 ///   "full"     0..9, no missing cells;
 ///   "half"     NaN on even rows (50% missing), odd values 1,3,5,7,9;
-///   "constant" always 1.0 (zero variance, so it can never drift).
+///   "constant" always 1.0 (zero variance).
 /// Binary labels: rows 5..9 positive (50% positive rate).
 Dataset MakeTrain() {
   Dataset ds = Dataset::Create({"full", "half", "constant"});
@@ -32,7 +32,7 @@ Dataset MakeTrain() {
   return ds;
 }
 
-/// Test partition: "full" shifted by +2 (drift vs train), "half" entirely
+/// Test partition: "full" shifted by +2, "half" entirely
 /// missing, one positive label of five (20% positive rate).
 Dataset MakeTest() {
   Dataset ds = Dataset::Create({"full", "half", "constant"});
@@ -71,7 +71,6 @@ TEST(DataProfileTest, GoldenStatisticsOnKnownCohort) {
   EXPECT_DOUBLE_EQ(full.mean_test, 4.0);
   // Population stddev of 0..9 is sqrt(8.25).
   EXPECT_DOUBLE_EQ(full.stddev_train, std::sqrt(8.25));
-  EXPECT_DOUBLE_EQ(full.drift, 0.5 / std::sqrt(8.25));
 
   const FeatureQuality& half = profile.features[1];
   EXPECT_EQ(half.name, "half");
@@ -79,17 +78,13 @@ TEST(DataProfileTest, GoldenStatisticsOnKnownCohort) {
   EXPECT_DOUBLE_EQ(half.missing_test, 1.0);
   EXPECT_DOUBLE_EQ(half.mean_train, 5.0);  // mean of 1,3,5,7,9
   EXPECT_TRUE(std::isnan(half.mean_test));
-  EXPECT_DOUBLE_EQ(half.drift, 0.0);  // all-missing test side: no drift
 
   const FeatureQuality& constant = profile.features[2];
   EXPECT_EQ(constant.name, "constant");
   EXPECT_DOUBLE_EQ(constant.stddev_train, 0.0);
-  EXPECT_DOUBLE_EQ(constant.drift, 0.0);  // zero-variance guard
 
   EXPECT_EQ(profile.max_missing_feature, "half");
   EXPECT_DOUBLE_EQ(profile.max_missing_train, 0.5);
-  EXPECT_EQ(profile.max_drift_feature, "full");
-  EXPECT_DOUBLE_EQ(profile.max_drift, 0.5 / std::sqrt(8.25));
 }
 
 TEST(DataProfileTest, BinOccupancyMatchesHistogramResolution) {
@@ -123,7 +118,6 @@ TEST(DataProfileTest, JsonIsDeterministicAndWellFormed) {
   EXPECT_NE(json.find("\"train_rows\":10"), std::string::npos);
   EXPECT_NE(json.find("\"positives_train\":5"), std::string::npos);
   EXPECT_NE(json.find("\"max_missing_feature\":\"half\""), std::string::npos);
-  EXPECT_NE(json.find("\"max_drift_feature\":\"full\""), std::string::npos);
   // All-missing means render as JSON null, never "nan".
   EXPECT_NE(json.find("\"mean_test\":null"), std::string::npos);
   EXPECT_EQ(json.find("nan"), std::string::npos);

@@ -1,24 +1,23 @@
 /// Unit tests of the compiled flat-forest inference block: exact
-/// equivalence with the reference pointer walker, compile gates, the
-/// checksummed serialization round trip, and Validate strictness.
+/// equivalence with the reference pointer walker, the compile gates, and
+/// the reference fallback of a model whose forest does not compile.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
-#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "explain/tree_shap.h"
 #include "gbt/flat_forest.h"
 #include "gbt/gbt_model.h"
+#include "util/metrics.h"
 #include "util/rng.h"
+#include "util/serialization.h"
 
 namespace mysawh::gbt {
 namespace {
-
-namespace fs = std::filesystem;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -78,7 +77,6 @@ TEST_P(FlatForestMethodTest, CompiledShapeMatchesTheTrees) {
   EXPECT_EQ(flat->num_leaves(), leaves);
   EXPECT_EQ(flat->num_trees(), static_cast<int>(model.trees().size()));
   EXPECT_EQ(flat->num_features(), model.num_features());
-  EXPECT_TRUE(flat->Validate().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, FlatForestMethodTest,
@@ -115,58 +113,81 @@ TEST(FlatForestTest, BinRowMatchesThresholdComparisons) {
   EXPECT_EQ(bin, kFlatMissingBin);
 }
 
-TEST(FlatForestTest, SerializeRoundTripsBitIdentically) {
-  const Dataset train = MakeData(500, 4);
-  const GbtModel model = TrainModel(train, TreeMethod::kHist);
-  const FlatForest* flat = model.flat_forest();
-  ASSERT_NE(flat, nullptr);
-  const std::string text = flat->Serialize();
-  const FlatForest restored = FlatForest::Deserialize(text).value();
-  EXPECT_EQ(restored.Serialize(), text);
-  const Dataset probe = MakeData(100, 5, /*missing_rate=*/0.3);
-  std::vector<double> a(static_cast<size_t>(probe.num_rows()));
-  std::vector<double> b(a.size());
-  flat->PredictRaw(probe, model.base_score(), a.data());
-  restored.PredictRaw(probe, model.base_score(), b.data());
-  EXPECT_EQ(a, b);
-}
-
-TEST(FlatForestTest, FileRoundTripThroughChecksummedEnvelope) {
-  const Dataset train = MakeData(300, 6);
-  const GbtModel model = TrainModel(train, TreeMethod::kHist, 8);
-  const FlatForest* flat = model.flat_forest();
-  ASSERT_NE(flat, nullptr);
-  const fs::path dir = fs::temp_directory_path() /
-                       ("mysawh_flat_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  const std::string path = (dir / "forest.flat").string();
-  ASSERT_TRUE(flat->SaveToFile(path).ok());
-  const FlatForest restored = FlatForest::LoadFromFile(path).value();
-  EXPECT_EQ(restored.Serialize(), flat->Serialize());
-  fs::remove_all(dir);
-}
-
 TEST(FlatForestTest, TooManyDistinctThresholdsFallsBackToReference) {
   // 300 distinct split thresholds on one feature exceed the uint8 bin
-  // encoding: Compile must refuse and the model must keep predicting
-  // through the reference walker.
+  // encoding: Compile must refuse, and a model holding the forest must
+  // keep predicting and explaining through the reference paths.
+  constexpr int kTrees = 300;
   std::vector<RegressionTree> trees;
-  for (int t = 0; t < 300; ++t) {
+  // The same forest as a loaded model file, over MakeData's four features.
+  std::string text = "mysawh-gbt v1\nobjective ";
+  text += ObjectiveTypeName(ObjectiveType::kSquaredError);
+  text += "\nbase_score " + EncodeDouble(0.5) + "\nbest_iteration " +
+          std::to_string(kTrees - 1) +
+          "\nnum_features 4\nfeature a\nfeature b\nfeature c\nfeature d\n"
+          "num_trees " + std::to_string(kTrees) + "\n";
+  for (int t = 0; t < kTrees; ++t) {
     std::vector<TreeNode> nodes(3);
     nodes[0].left = 1;
     nodes[0].right = 2;
     nodes[0].feature = 0;
     nodes[0].threshold = static_cast<double>(t) / 300.0;
+    nodes[0].default_left = t % 2 == 0;
     nodes[0].cover = 2.0;
-    nodes[1].value = -1.0;
+    // Non-dyadic leaves, so a different summation order would show.
+    nodes[1].value = -1.0 / (t + 3);
     nodes[1].cover = 1.0;
-    nodes[2].value = 1.0;
+    nodes[2].value = 1.0 / (t + 7);
     nodes[2].cover = 1.0;
+    text += "tree 3\n";
+    for (const TreeNode& node : nodes) text += TreeNodeToText(node) + "\n";
     trees.push_back(RegressionTree::FromNodes(std::move(nodes)));
   }
   const auto compiled = FlatForest::Compile(trees, 1);
   ASSERT_FALSE(compiled.ok());
   EXPECT_EQ(compiled.status().code(), StatusCode::kFailedPrecondition);
+
+  Counter* const fallbacks = MetricsRegistry::Global().GetCounter(
+      "gbt.predict.flat_compile_fallbacks");
+  const int64_t fallbacks_before = fallbacks->Value();
+  const GbtModel model = GbtModel::Deserialize(text).value();
+  EXPECT_EQ(model.flat_forest(), nullptr);
+  EXPECT_EQ(fallbacks->Value(), fallbacks_before + 1);
+
+  const Dataset probe = MakeData(130, 9, /*missing_rate=*/0.25);
+  const std::vector<double> batch = model.Predict(probe).value();
+  ASSERT_EQ(batch.size(), static_cast<size_t>(probe.num_rows()));
+  for (int64_t r = 0; r < probe.num_rows(); ++r) {
+    EXPECT_EQ(batch[static_cast<size_t>(r)], model.PredictRow(probe.row(r)))
+        << "row " << r;
+  }
+
+  constexpr int kStride = 70;
+  const auto stages = model.PredictStaged(probe, kStride).value();
+  ASSERT_EQ(stages.size(),
+            static_cast<size_t>((kTrees + kStride - 1) / kStride));
+  const auto objective = MakeObjective(model.objective_type());
+  for (int64_t r = 0; r < probe.num_rows(); ++r) {
+    double raw = model.base_score();
+    size_t stage = 0;
+    for (int t = 0; t < kTrees; ++t) {
+      raw += model.trees()[static_cast<size_t>(t)].Predict(probe.row(r));
+      if ((t + 1) % kStride == 0 || t + 1 == kTrees) {
+        EXPECT_EQ(stages[stage][static_cast<size_t>(r)],
+                  objective->Transform(raw))
+            << "stage " << stage << " row " << r;
+        ++stage;
+      }
+    }
+  }
+
+  const explain::TreeShap shap(&model);
+  const auto shap_batch = shap.ShapBatch(probe).value();
+  ASSERT_EQ(shap_batch.size(), static_cast<size_t>(probe.num_rows()));
+  for (int64_t r = 0; r < probe.num_rows(); ++r) {
+    EXPECT_EQ(shap_batch[static_cast<size_t>(r)], shap.Shap(probe.row(r)))
+        << "row " << r;
+  }
 }
 
 TEST(FlatForestTest, DeserializedModelCompilesAndMatches) {
@@ -192,14 +213,11 @@ TEST(FlatForestTest, SingleLeafTreesCompile) {
   EXPECT_EQ(flat.num_nodes(), 0);
   EXPECT_EQ(flat.num_leaves(), 1);
   EXPECT_EQ(flat.max_depth(), 0);
-  EXPECT_TRUE(flat.Validate().ok());
   Dataset probe = Dataset::Create({"a", "b"});
   ASSERT_TRUE(probe.AddRow({0.5, kNaN}, 0.0).ok());
   double out = 0.0;
   flat.PredictRaw(probe, 1.0, &out);
   EXPECT_EQ(out, 1.25);
-  const FlatForest restored = FlatForest::Deserialize(flat.Serialize()).value();
-  EXPECT_EQ(restored.Serialize(), flat.Serialize());
 }
 
 }  // namespace

@@ -133,7 +133,7 @@ def check_data_quality(quality, path):
     for name, profile in quality.items():
         for key in ("train_rows", "test_rows", "num_features", "outcome",
                     "features", "max_missing_train", "max_missing_feature",
-                    "max_drift", "max_drift_feature", "mean_bin_occupancy"):
+                    "mean_bin_occupancy"):
             if key not in profile:
                 fail(f"{path}: data_quality[{name}] missing '{key}'")
         if profile["train_rows"] <= 0 or profile["test_rows"] <= 0:
@@ -152,7 +152,7 @@ def check_data_quality(quality, path):
             fail(f"{path}: data_quality[{name}] has {len(features)} "
                  f"feature profiles, claims {profile['num_features']}")
         for feature in features:
-            for key in ("name", "missing_train", "missing_test", "drift",
+            for key in ("name", "missing_train", "missing_test",
                         "num_bins", "occupied_bins", "max_bin_count"):
                 if key not in feature:
                     fail(f"{path}: data_quality[{name}] feature missing "

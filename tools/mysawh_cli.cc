@@ -126,8 +126,7 @@ commands:
              Renders a Markdown dashboard from a study run manifest
              (provenance, per-cell cost, data-quality summaries) and/or a
              telemetry artifact (per-stream learning curves). At least one
-             input is required. tools/render_dashboard.py builds the HTML
-             variant from the same inputs.
+             input is required.
 
 observability flags (every command):
   --trace-out FILE      record a span timeline and write Chrome/Perfetto
@@ -858,7 +857,7 @@ Status RunReport(const FlagParser& flags) {
     } else {
       os << "\n## Data quality\n\n"
          << "| cell | train/test rows | outcome | max missingness "
-         << "| max drift | bin occupancy |\n|---|---|---|---|---|---|\n";
+         << "| bin occupancy |\n|---|---|---|---|---|\n";
       for (const auto& [name, cell] : quality->object_members()) {
         os << "| " << name << " | "
            << FormatDouble(cell.NumberOr("train_rows", 0), 0) << "/"
@@ -881,8 +880,6 @@ Status RunReport(const FlagParser& flags) {
         }
         os << " | " << Pct(cell.NumberOr("max_missing_train", 0)) << " ("
            << cell.StringOr("max_missing_feature", "-") << ") | "
-           << FormatDouble(cell.NumberOr("max_drift", 0), 3) << " ("
-           << cell.StringOr("max_drift_feature", "-") << ") | "
            << Pct(cell.NumberOr("mean_bin_occupancy", 0)) << " |\n";
       }
     }
