@@ -120,7 +120,7 @@ Result<DataQualityProfile> ProfilePartition(const Dataset& train,
 
   // Bin occupancy at the trainer's histogram resolution.
   MYSAWH_ASSIGN_OR_RETURN(gbt::BinnedData binned,
-                          gbt::BuildBinned(train, max_bins, nullptr));
+                          gbt::BuildBinned(train, max_bins));
   const std::vector<gbt::BinOccupancy> occupancy =
       gbt::ComputeBinOccupancy(binned.bins, binned.matrix);
 

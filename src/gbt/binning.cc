@@ -251,8 +251,7 @@ std::vector<PresentCell> CollectPresent(const Dataset& data, int64_t f,
 
 }  // namespace
 
-Result<BinnedData> BuildBinned(const Dataset& data, int max_bins,
-                               ThreadPool* pool) {
+Result<BinnedData> BuildBinned(const Dataset& data, int max_bins) {
   if (max_bins < 2) {
     return Status::InvalidArgument("max_bins must be >= 2");
   }
@@ -279,7 +278,7 @@ Result<BinnedData> BuildBinned(const Dataset& data, int max_bins,
                static_cast<int64_t>(out.matrix.bins_.size() *
                                     sizeof(uint16_t)));
   }
-  auto build_feature = [&](int64_t f) {
+  for (int64_t f = 0; f < nf; ++f) {
     std::vector<double>* cuts = &out.bins.cuts_[static_cast<size_t>(f)];
     if (narrow) {
       uint8_t* cells = out.matrix.bytes_.data();
@@ -292,11 +291,6 @@ Result<BinnedData> BuildBinned(const Dataset& data, int max_bins,
           CollectPresent<uint16_t, kMissingBin>(data, f, cells);
       BuildFeature<uint16_t>(col, nf, f, max_bins, cells, cuts);
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(nf, build_feature);
-  } else {
-    for (int64_t f = 0; f < nf; ++f) build_feature(f);
   }
   return out;
 }

@@ -6,7 +6,6 @@
 
 #include "data/dataset.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace mysawh::gbt {
 
@@ -50,8 +49,7 @@ class FeatureBins {
   uint16_t BinFor(int64_t feature, double value) const;
 
  private:
-  friend Result<BinnedData> BuildBinned(const Dataset& data, int max_bins,
-                                        ThreadPool* pool);
+  friend Result<BinnedData> BuildBinned(const Dataset& data, int max_bins);
   std::vector<std::vector<double>> cuts_;
 };
 
@@ -86,8 +84,7 @@ class BinnedMatrix {
   const uint16_t* data16() const { return bins_.data(); }
 
  private:
-  friend Result<BinnedData> BuildBinned(const Dataset& data, int max_bins,
-                                        ThreadPool* pool);
+  friend Result<BinnedData> BuildBinned(const Dataset& data, int max_bins);
   std::vector<uint16_t> bins_;   // wide cells (row * num_features + feature)
   std::vector<uint8_t> bytes_;   // narrow cells, same layout
   bool narrow_ = false;
@@ -119,15 +116,12 @@ std::vector<BinOccupancy> ComputeBinOccupancy(const FeatureBins& bins,
                                               const BinnedMatrix& matrix);
 
 /// Builds the cut points and the quantized matrix in one fused pass: each
-/// feature is sorted once as (value, row) pairs, the cuts are derived from
-/// the distinct values of that ordering, and bins are assigned by walking
-/// the sorted pairs — no per-cell binary search. Produces exactly the same
-/// cuts and bins as FeatureBins::Build followed by BinnedMatrix::Build,
-/// several times faster. Features are processed in parallel on `pool` when
-/// given (each feature writes disjoint cells, so the result is identical
-/// for any thread count).
-Result<BinnedData> BuildBinned(const Dataset& data, int max_bins,
-                               ThreadPool* pool);
+/// feature's present values are radix-sorted once, the cuts are derived
+/// from the distinct values, and cells are mapped to bins with a branchless
+/// binary search, four at a time. Produces exactly the same cuts and bins
+/// as FeatureBins::Build followed by BinnedMatrix::Build
+/// (BinningTest.FusedBuildMatchesReference), several times faster.
+Result<BinnedData> BuildBinned(const Dataset& data, int max_bins);
 
 }  // namespace mysawh::gbt
 

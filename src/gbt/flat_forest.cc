@@ -42,9 +42,9 @@ Result<FlatForest> FlatForest::Compile(
   flat.num_features_ = num_features;
 
   // Pass 1: the distinct split thresholds of every feature become its cut
-  // array. For hist-trained models these are a subset of the BuildBinned
-  // cuts the splits were chosen from; for exact-trained or deserialized
-  // models they are whatever thresholds the trees carry — the equivalence
+  // array. For freshly trained models these are a subset of the BuildBinned
+  // cuts the splits were chosen from; for deserialized or hand-built trees
+  // they are whatever thresholds the trees carry — the equivalence
   // bin(v) < bin_threshold  <=>  v < threshold holds either way.
   std::vector<std::vector<double>> cuts(static_cast<size_t>(num_features));
   int64_t total_internal = 0;

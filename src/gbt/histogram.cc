@@ -1,15 +1,13 @@
 #include "gbt/histogram.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace mysawh::gbt {
 
 namespace {
 
-/// Fixed chunk size of the deterministic reduction. Independent of the
-/// thread count by design: the same chunk boundaries (and therefore the
-/// same floating-point association) are used whether chunks run inline or
-/// across workers.
+/// Rows per chunk of the pinned summation order (see BuildHistogram).
 constexpr int64_t kHistChunkRows = 2048;
 
 /// Accumulates rows [begin, end) of `rows` into `out` — the single
@@ -94,54 +92,37 @@ NodeHistogram NodeHistogram::Subtract(NodeHistogram parent,
   return parent;
 }
 
-NodeHistogram HistogramBuilder::Build(
-    const HistogramLayout& layout, const std::vector<int64_t>& rows,
-    const std::vector<GradientPair>& gpairs) const {
+NodeHistogram BuildHistogram(const HistogramLayout& layout,
+                             const BinnedMatrix& binned,
+                             const std::vector<int64_t>& rows,
+                             const std::vector<GradientPair>& gpairs) {
   NodeHistogram out(layout);
   const auto n = static_cast<int64_t>(rows.size());
-  if (n == 0) return out;
-  if (n <= kHistChunkRows) {
-    AccumulateRange(layout, *binned_, rows, gpairs, 0, n, &out);
-    return out;
-  }
-  // Fixed-boundary chunk partials, merged in ascending chunk order. The
-  // association of floating-point adds depends only on n, never on the
-  // worker count, so models are bit-identical for any num_threads.
-  const int64_t num_chunks = (n + kHistChunkRows - 1) / kHistChunkRows;
-  std::vector<NodeHistogram> partials(static_cast<size_t>(num_chunks));
-  auto accumulate_chunk = [&](int64_t chunk, int64_t begin, int64_t end) {
-    NodeHistogram& partial = partials[static_cast<size_t>(chunk)];
-    partial = NodeHistogram(layout);
-    AccumulateRange(layout, *binned_, rows, gpairs, begin, end, &partial);
-  };
-  auto merge_slot = [&](HistEntry* dst, int64_t slot, bool missing) {
-    for (const NodeHistogram& partial : partials) {
-      const HistEntry& src = missing ? partial.miss_data()[slot]
-                                     : partial.slots_data()[slot];
-      dst->sum_g += src.sum_g;
-      dst->sum_h += src.sum_h;
-      dst->count += src.count;
+  // The first chunk sums straight into the zeroed result: adding its
+  // partial to zeros would give the same bits.
+  AccumulateRange(layout, binned, rows, gpairs, 0,
+                  std::min(n, kHistChunkRows), &out);
+  if (n <= kHistChunkRows) return out;
+  NodeHistogram partial(layout);
+  HistEntry* ps = partial.mutable_slots();
+  HistEntry* pm = partial.mutable_miss();
+  HistEntry* os = out.mutable_slots();
+  HistEntry* om = out.mutable_miss();
+  for (int64_t begin = kHistChunkRows; begin < n; begin += kHistChunkRows) {
+    std::fill_n(ps, partial.num_slots(), HistEntry{});
+    std::fill_n(pm, partial.num_miss(), HistEntry{});
+    AccumulateRange(layout, binned, rows, gpairs, begin,
+                    std::min(begin + kHistChunkRows, n), &partial);
+    for (int64_t i = 0; i < partial.num_slots(); ++i) {
+      os[i].sum_g += ps[i].sum_g;
+      os[i].sum_h += ps[i].sum_h;
+      os[i].count += ps[i].count;
     }
-  };
-  const int64_t num_slots = out.num_slots();
-  const int64_t num_miss = out.num_miss();
-  auto merge_all = [&](int64_t i) {
-    if (i < num_slots) {
-      merge_slot(out.mutable_slots() + i, i, /*missing=*/false);
-    } else {
-      merge_slot(out.mutable_miss() + (i - num_slots), i - num_slots,
-                 /*missing=*/true);
+    for (int64_t i = 0; i < partial.num_miss(); ++i) {
+      om[i].sum_g += pm[i].sum_g;
+      om[i].sum_h += pm[i].sum_h;
+      om[i].count += pm[i].count;
     }
-  };
-  if (pool_ == nullptr) {
-    int64_t chunk = 0;
-    for (int64_t begin = 0; begin < n; begin += kHistChunkRows, ++chunk) {
-      accumulate_chunk(chunk, begin, std::min(begin + kHistChunkRows, n));
-    }
-    for (int64_t i = 0; i < num_slots + num_miss; ++i) merge_all(i);
-  } else {
-    pool_->ParallelForChunks(n, kHistChunkRows, accumulate_chunk);
-    pool_->ParallelFor(num_slots + num_miss, merge_all);
   }
   return out;
 }

@@ -6,7 +6,6 @@
 
 #include "gbt/binning.h"
 #include "gbt/objective.h"
-#include "util/thread_pool.h"
 
 namespace mysawh::gbt {
 
@@ -84,33 +83,19 @@ class NodeHistogram {
   std::vector<HistEntry> miss_;
 };
 
-/// Builds per-node gradient histograms with a single row-major pass: for
-/// each of the node's rows, the row's bins (contiguous in the row-major
+/// Accumulates the histogram of `rows` for every feature in `layout` with a
+/// single row-major pass: each row's bins (contiguous in the row-major
 /// BinnedMatrix) feed every selected feature's histogram at once, instead
 /// of rescanning the node once per feature.
 ///
-/// Rows are partitioned into fixed-size chunks (boundaries depend only on
-/// the row count), each chunk is accumulated independently, and the chunk
-/// partials are merged in ascending chunk order — so the result is
-/// bit-identical for any thread count, including inline execution.
-class HistogramBuilder {
- public:
-  /// `bins` and `binned` must outlive the builder. `pool` may be null for
-  /// strictly inline execution.
-  HistogramBuilder(const FeatureBins& bins, const BinnedMatrix& binned,
-                   ThreadPool* pool)
-      : bins_(&bins), binned_(&binned), pool_(pool) {}
-
-  /// Accumulates the histogram of `rows` for every feature in `layout`.
-  NodeHistogram Build(const HistogramLayout& layout,
-                      const std::vector<int64_t>& rows,
-                      const std::vector<GradientPair>& gpairs) const;
-
- private:
-  const FeatureBins* bins_;
-  const BinnedMatrix* binned_;
-  ThreadPool* pool_;
-};
+/// Rows are summed in fixed 2048-row chunks, each into a zeroed partial,
+/// and the partials are added in ascending chunk order. That association
+/// depends only on the row count and sets the bits of every node with more
+/// than one chunk of rows (HistogramTest.ChunkAssociationIsPinned).
+NodeHistogram BuildHistogram(const HistogramLayout& layout,
+                             const BinnedMatrix& binned,
+                             const std::vector<int64_t>& rows,
+                             const std::vector<GradientPair>& gpairs);
 
 }  // namespace mysawh::gbt
 

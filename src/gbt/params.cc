@@ -33,9 +33,6 @@ Status GbtParams::Validate() const {
   if (!(scale_pos_weight > 0.0)) {
     return Status::InvalidArgument("scale_pos_weight must be > 0");
   }
-  if (num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
   if (early_stopping_rounds < 0) {
     return Status::InvalidArgument("early_stopping_rounds must be >= 0");
   }

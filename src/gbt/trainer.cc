@@ -53,162 +53,15 @@ Trainer::Trainer(const Dataset& train, const GbtParams& params)
     : train_(train),
       params_(params),
       objective_(MakeObjective(params.objective)),
-      rng_(params.seed),
-      pool_(params.num_threads) {}
+      rng_(params.seed) {}
 
 double Trainer::LeafWeight(double g, double h) const {
   return -ThresholdL1(g, params_.reg_alpha) / (h + params_.reg_lambda);
 }
 
-double Trainer::ScoreFn(double g, double h) const {
-  const double t = ThresholdL1(g, params_.reg_alpha);
-  return t * t / (h + params_.reg_lambda);
-}
-
 int Trainer::ConstraintOf(int feature) const {
   if (params_.monotone_constraints.empty()) return 0;
   return params_.monotone_constraints[static_cast<size_t>(feature)];
-}
-
-void Trainer::ConsiderSplit(const NodeStats& parent, double parent_score,
-                            const NodeStats& miss, double sum_g_left,
-                            double sum_h_left, int64_t count_left, int feature,
-                            double threshold, int bin,
-                            const NodeBounds& bounds,
-                            SplitCandidate* best) const {
-  // Present-value right side = parent - missing - left.
-  const double sum_g_right = parent.sum_g - miss.sum_g - sum_g_left;
-  const double sum_h_right = parent.sum_h - miss.sum_h - sum_h_left;
-  const int64_t count_right = parent.count - miss.count - count_left;
-  // With no missing mass the two default directions score identically and
-  // the first (missing-left) wins the tie-break, so skip the second.
-  const bool no_miss =
-      miss.count == 0 && miss.sum_g == 0.0 && miss.sum_h == 0.0;
-  for (const bool miss_left : {true, false}) {
-    if (!miss_left && no_miss) break;
-    const double gl = sum_g_left + (miss_left ? miss.sum_g : 0.0);
-    const double hl = sum_h_left + (miss_left ? miss.sum_h : 0.0);
-    const int64_t cl = count_left + (miss_left ? miss.count : 0);
-    const double gr = sum_g_right + (miss_left ? 0.0 : miss.sum_g);
-    const double hr = sum_h_right + (miss_left ? 0.0 : miss.sum_h);
-    const int64_t cr = count_right + (miss_left ? 0 : miss.count);
-    if (cl < params_.min_samples_leaf || cr < params_.min_samples_leaf) {
-      continue;
-    }
-    if (hl < params_.min_child_weight || hr < params_.min_child_weight) {
-      continue;
-    }
-    const double gain =
-        0.5 * (ScoreFn(gl, hl) + ScoreFn(gr, hr) - parent_score) -
-        params_.gamma;
-    if (gain <= kMinSplitGain) continue;
-    // Fast reject: a strictly lower gain can never become `best` (ties can,
-    // through the tie-break below), so skip the leaf-weight divisions and
-    // constraint checks — this boundary scan is the hist hot loop.
-    if (best->valid && gain < best->gain) continue;
-    // Monotone constraint: reject directions that violate the ordering or
-    // leave the admissible weight interval.
-    const double wl = LeafWeight(gl, hl);
-    const double wr = LeafWeight(gr, hr);
-    const int constraint = ConstraintOf(feature);
-    if (constraint > 0 && wl > wr) continue;
-    if (constraint < 0 && wl < wr) continue;
-    if (wl < bounds.lower || wl > bounds.upper || wr < bounds.lower ||
-        wr > bounds.upper) {
-      continue;
-    }
-    // Deterministic tie-break: larger gain wins; equal gains prefer the
-    // lower feature index, then the smaller threshold.
-    const bool better =
-        !best->valid || gain > best->gain ||
-        (gain == best->gain &&
-         (feature < best->feature ||
-          (feature == best->feature && threshold < best->threshold)));
-    if (better) {
-      best->valid = true;
-      best->feature = feature;
-      best->threshold = threshold;
-      best->bin = bin;
-      best->default_left = miss_left;
-      best->gain = gain;
-      best->weight_left = wl;
-      best->weight_right = wr;
-    }
-  }
-}
-
-Trainer::SplitCandidate Trainer::FindSplitExact(
-    int feature, const std::vector<int64_t>& rows,
-    const std::vector<GradientPair>& gpairs, const NodeStats& parent,
-    const NodeBounds& bounds) const {
-  struct Entry {
-    double value;
-    double g;
-    double h;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(rows.size());
-  NodeStats miss;
-  for (int64_t r : rows) {
-    const double v = train_.At(r, feature);
-    const GradientPair& gp = gpairs[static_cast<size_t>(r)];
-    if (std::isnan(v)) {
-      miss.sum_g += gp.grad;
-      miss.sum_h += gp.hess;
-      ++miss.count;
-    } else {
-      entries.push_back({v, gp.grad, gp.hess});
-    }
-  }
-  SplitCandidate best;
-  if (entries.size() < 2) return best;
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.value < b.value; });
-  const double parent_score = ScoreFn(parent.sum_g, parent.sum_h);
-  double sum_g_left = 0.0, sum_h_left = 0.0;
-  int64_t count_left = 0;
-  for (size_t i = 0; i + 1 < entries.size(); ++i) {
-    sum_g_left += entries[i].g;
-    sum_h_left += entries[i].h;
-    ++count_left;
-    if (entries[i].value == entries[i + 1].value) continue;
-    const double threshold = 0.5 * (entries[i].value + entries[i + 1].value);
-    ConsiderSplit(parent, parent_score, miss, sum_g_left, sum_h_left,
-                  count_left, feature, threshold, /*bin=*/-1, bounds, &best);
-  }
-  return best;
-}
-
-Trainer::SplitCandidate Trainer::FindSplitHist(
-    int feature_pos, const HistogramLayout& layout, const NodeHistogram& hist,
-    const NodeStats& parent, const NodeBounds& bounds) const {
-  const int feature = layout.features()[static_cast<size_t>(feature_pos)];
-  const int nb = layout.num_bins(feature_pos);
-  SplitCandidate best;
-  if (nb < 2) return best;
-  const HistEntry* slots = hist.feature_slots(layout, feature_pos);
-  const HistEntry& miss_entry = hist.miss(feature_pos);
-  const NodeStats miss{miss_entry.sum_g, miss_entry.sum_h, miss_entry.count};
-  const double parent_score = ScoreFn(parent.sum_g, parent.sum_h);
-  const int64_t present = parent.count - miss.count;
-  if (params_.monotone_constraints.empty()) {
-    return FindSplitHistFast(feature, nb, slots, miss, parent, parent_score,
-                             present);
-  }
-  double acc_g = 0.0, acc_h = 0.0;
-  int64_t acc_c = 0;
-  for (int b = 0; b + 1 < nb; ++b) {
-    acc_g += slots[b].sum_g;
-    acc_h += slots[b].sum_h;
-    acc_c += slots[b].count;
-    if (slots[b].count == 0) continue;  // no boundary change
-    ConsiderSplit(parent, parent_score, miss, acc_g, acc_h, acc_c, feature,
-                  bins_.cut(feature, b), b, bounds, &best);
-    // Every present row is on the left: later boundaries leave the right
-    // side empty and can never form a valid split.
-    if (acc_c == present) break;
-  }
-  return best;
 }
 
 namespace {
@@ -229,22 +82,31 @@ struct BoundaryScratch {
 
 }  // namespace
 
-Trainer::SplitCandidate Trainer::FindSplitHistFast(
-    int feature, int nb, const HistEntry* slots, const NodeStats& miss,
-    const NodeStats& parent, double parent_score, int64_t present) const {
+Trainer::SplitCandidate Trainer::FindSplit(int feature_pos,
+                                           const HistogramLayout& layout,
+                                           const NodeHistogram& hist,
+                                           const NodeStats& parent,
+                                           const NodeBounds& bounds) const {
+  const int feature = layout.features()[static_cast<size_t>(feature_pos)];
+  const int nb = layout.num_bins(feature_pos);
+  SplitCandidate best;
+  if (nb < 2) return best;
+  const HistEntry* slots = hist.feature_slots(layout, feature_pos);
+  const HistEntry& miss = hist.miss(feature_pos);
+  const int64_t present = parent.count - miss.count;
   const double alpha = params_.reg_alpha;
   const double lambda = params_.reg_lambda;
   const double gamma = params_.gamma;
   const int64_t msl = params_.min_samples_leaf;
   const double mcw = params_.min_child_weight;
-  // Same soft-thresholded score as ScoreFn/ThresholdL1, inlined so the loop
-  // body is just adds, compares, and the two divisions.
+  // The soft-thresholded score T_alpha(G)^2 / (H + lambda), inlined so the
+  // loop body is just adds, compares, and the two divisions.
   const auto score = [alpha, lambda](double g, double h) {
     const double t = g > alpha ? g - alpha : (g < -alpha ? g + alpha : 0.0);
     return t * t / (h + lambda);
   };
-  // Present-value right side = (parent - missing) - left, with the same
-  // association as ConsiderSplit so gains are bit-identical.
+  const double parent_score = score(parent.sum_g, parent.sum_h);
+  // Present-value right side = (parent - missing) - left.
   const double gsub = parent.sum_g - miss.sum_g;
   const double hsub = parent.sum_h - miss.sum_h;
   // With no missing mass the two default directions score identically and
@@ -253,13 +115,12 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
       miss.count == 0 && miss.sum_g == 0.0 && miss.sum_h == 0.0;
   // Prefix pass with compaction. Every slot is accumulated — subtraction
   // can leave count-0 slots with nonzero sums — but only occupied
-  // boundaries are kept: an empty bin repeats its predecessor's partition
-  // and the generic scan skips it ("no boundary change"). Each slot writes
-  // position `m` unconditionally and advances it only when occupied, so the
-  // compaction needs no branch. Once every present row is on the left, the
-  // remaining slots are empty and the pass stops. Counts are carried as
-  // doubles (exact for any realistic row count) to keep the gain loops in
-  // one vectorizable domain.
+  // boundaries are kept: an empty bin repeats its predecessor's partition.
+  // Each slot writes position `m` unconditionally and advances it only when
+  // occupied, so the compaction needs no branch. Once every present row is
+  // on the left, the remaining slots are empty and the pass stops. Counts
+  // are carried as doubles (exact for any realistic row count) to keep the
+  // gain loops in one vectorizable domain.
   const int nbound = nb - 1;
   thread_local BoundaryScratch scratch;
   scratch.Reserve(nbound);
@@ -320,9 +181,31 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
       gain_r[k] = ok ? gain : neg_inf;
     }
   }
+  // Monotone constraints: drop every direction whose child weights break
+  // the feature's ordering or leave the node's admissible interval. The
+  // comparisons are written so that a NaN weight is never dropped.
+  if (!params_.monotone_constraints.empty()) {
+    const int constraint = ConstraintOf(feature);
+    const auto violates = [&](double gl, double hl, double gr, double hr) {
+      const double wl = LeafWeight(gl, hl);
+      const double wr = LeafWeight(gr, hr);
+      return (constraint > 0 && wl > wr) || (constraint < 0 && wl < wr) ||
+             wl < bounds.lower || wl > bounds.upper || wr < bounds.lower ||
+             wr > bounds.upper;
+    };
+    for (int k = 0; k < m; ++k) {
+      const double sgr = gsub - pg[k];
+      const double shr = hsub - ph[k];
+      if (violates(pg[k] + miss_g, ph[k] + miss_h, sgr, shr)) {
+        gain_l[k] = neg_inf;
+      }
+      if (!no_miss && violates(pg[k], ph[k], sgr + miss_g, shr + miss_h)) {
+        gain_r[k] = neg_inf;
+      }
+    }
+  }
   // Strict >: bins ascend and missing-left is checked first, so keeping the
-  // incumbent on ties reproduces ConsiderSplit's smaller-threshold /
-  // missing-left preference.
+  // incumbent on ties prefers the smaller threshold, then missing-left.
   double best_gain = kMinSplitGain;
   int best_k = -1;
   bool best_dir = true;
@@ -338,7 +221,6 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
       best_dir = false;
     }
   }
-  SplitCandidate best;
   if (best_k >= 0) {
     const double gl = best_dir ? pg[best_k] + miss_g : pg[best_k];
     const double hl = best_dir ? ph[best_k] + miss_h : ph[best_k];
@@ -361,9 +243,8 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
 void Trainer::BuildNode(RegressionTree* tree, int node_id,
                         std::vector<int64_t> rows, int depth,
                         const std::vector<GradientPair>& gpairs,
-                        const std::vector<int>& features,
                         const NodeBounds& bounds,
-                        const HistogramLayout* layout, NodeHistogram hist) {
+                        const HistogramLayout& layout, NodeHistogram hist) {
   NodeStats stats;
   for (int64_t r : rows) {
     stats.sum_g += gpairs[static_cast<size_t>(r)].grad;
@@ -377,33 +258,20 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
                          stats.sum_h >= 2 * params_.min_child_weight;
   SplitCandidate best;
   if (can_split) {
-    if (use_hist_ && hist.empty()) {
+    if (hist.empty()) {
       // Root (or a node whose parent skipped the subtraction trick): one
       // row-major pass accumulates every feature's histogram at once.
       TraceSpan span("gbt.hist_build", "train");
       span.Arg("rows", static_cast<int64_t>(rows.size()));
-      hist = hist_builder_->Build(*layout, rows, gpairs);
+      hist = BuildHistogram(layout, binned_, rows, gpairs);
       ++hist_nodes_direct_;
     }
     TraceSpan split_span("gbt.split_find", "train");
-    // Per-feature proposals evaluated in parallel, reduced deterministically.
-    std::vector<SplitCandidate> proposals(features.size());
-    pool_.ParallelFor(static_cast<int64_t>(features.size()), [&](int64_t i) {
-      proposals[static_cast<size_t>(i)] =
-          use_hist_
-              ? FindSplitHist(static_cast<int>(i), *layout, hist, stats,
-                              bounds)
-              : FindSplitExact(features[static_cast<size_t>(i)], rows, gpairs,
-                               stats, bounds);
-    });
-    for (const auto& p : proposals) {
-      if (!p.valid) continue;
-      const bool better =
-          !best.valid || p.gain > best.gain ||
-          (p.gain == best.gain &&
-           (p.feature < best.feature ||
-            (p.feature == best.feature && p.threshold < best.threshold)));
-      if (better) best = p;
+    // Features ascend, so keeping the first strictly larger gain breaks ties
+    // by gain, then feature, then threshold.
+    for (int i = 0; i < layout.num_features(); ++i) {
+      const SplitCandidate c = FindSplit(i, layout, hist, stats, bounds);
+      if (c.valid && (!best.valid || c.gain > best.gain)) best = c;
     }
   }
 
@@ -423,15 +291,9 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
   left_rows.reserve(rows.size());
   right_rows.reserve(rows.size());
   for (int64_t r : rows) {
-    bool go_left;
-    if (use_hist_) {
-      const uint16_t b = binned_.At(r, best.feature);
-      go_left = (b == kMissingBin) ? best.default_left
-                                   : static_cast<int>(b) <= best.bin;
-    } else {
-      const double v = train_.At(r, best.feature);
-      go_left = std::isnan(v) ? best.default_left : v < best.threshold;
-    }
+    const uint16_t b = binned_.At(r, best.feature);
+    const bool go_left = b == kMissingBin ? best.default_left
+                                          : static_cast<int>(b) <= best.bin;
     (go_left ? left_rows : right_rows).push_back(r);
   }
   rows.clear();
@@ -441,7 +303,7 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
   // children cannot split anyway (depth or min_samples_leaf), in which case
   // they are passed empty histograms they will never consult.
   NodeHistogram left_hist, right_hist;
-  if (use_hist_ && depth + 1 < params_.max_depth &&
+  if (depth + 1 < params_.max_depth &&
       static_cast<int64_t>(std::max(left_rows.size(), right_rows.size())) >=
           2 * params_.min_samples_leaf) {
     const bool left_smaller = left_rows.size() <= right_rows.size();
@@ -450,8 +312,8 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
       TraceSpan span("gbt.hist_build", "train");
       span.Arg("rows", static_cast<int64_t>(
                            left_smaller ? left_rows.size() : right_rows.size()));
-      smaller = hist_builder_->Build(
-          *layout, left_smaller ? left_rows : right_rows, gpairs);
+      smaller = BuildHistogram(layout, binned_,
+                               left_smaller ? left_rows : right_rows, gpairs);
       ++hist_nodes_direct_;
     }
     NodeHistogram larger;
@@ -480,22 +342,21 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
       right_bounds.upper = std::min(right_bounds.upper, mid);
     }
   }
-  BuildNode(tree, left_id, std::move(left_rows), depth + 1, gpairs, features,
+  BuildNode(tree, left_id, std::move(left_rows), depth + 1, gpairs,
             left_bounds, layout, std::move(left_hist));
   BuildNode(tree, right_id, std::move(right_rows), depth + 1, gpairs,
-            features, right_bounds, layout, std::move(right_hist));
+            right_bounds, layout, std::move(right_hist));
 }
 
 RegressionTree Trainer::GrowTree(const std::vector<GradientPair>& gpairs,
                                  std::vector<int64_t> rows,
-                                 const std::vector<int>& features) {
+                                 std::vector<int> features) {
   RegressionTree tree;
   const NodeBounds root_bounds{-std::numeric_limits<double>::infinity(),
                                std::numeric_limits<double>::infinity()};
-  HistogramLayout layout;
-  if (use_hist_) layout = HistogramLayout(bins_, features);
-  BuildNode(&tree, 0, std::move(rows), 0, gpairs, features, root_bounds,
-            use_hist_ ? &layout : nullptr, NodeHistogram());
+  const HistogramLayout layout(bins_, std::move(features));
+  BuildNode(&tree, 0, std::move(rows), 0, gpairs, root_bounds, layout,
+            NodeHistogram());
   return tree;
 }
 
@@ -530,14 +391,10 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
   train_span.Arg("rows", train_.num_rows());
   train_span.Arg("features", train_.num_features());
 
-  use_hist_ = params_.tree_method == TreeMethod::kHist;
-  if (use_hist_) {
-    MYSAWH_ASSIGN_OR_RETURN(BinnedData binned_data,
-                            BuildBinned(train_, params_.max_bins, &pool_));
-    bins_ = std::move(binned_data.bins);
-    binned_ = std::move(binned_data.matrix);
-    hist_builder_ = std::make_unique<HistogramBuilder>(bins_, binned_, &pool_);
-  }
+  MYSAWH_ASSIGN_OR_RETURN(BinnedData binned_data,
+                          BuildBinned(train_, params_.max_bins));
+  bins_ = std::move(binned_data.bins);
+  binned_ = std::move(binned_data.matrix);
 
   GbtModel model;
   model.feature_names_ = train_.feature_names();
@@ -587,9 +444,7 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
     TraceSpan tree_span("gbt.tree", "train");
     tree_span.Arg("round", round);
     ScopedLatencyTimer tree_timer(Metrics().tree_us);
-    // Per-row gradients are independent writes to disjoint slots, so the
-    // parallel loop is deterministic for any thread count.
-    pool_.ParallelFor(n, [&](int64_t i) {
+    for (int64_t i = 0; i < n; ++i) {
       GradientPair gp = objective_->ComputeGradient(
           train_.label(i), raw_train[static_cast<size_t>(i)]);
       if (params_.scale_pos_weight != 1.0 && train_.label(i) == 1.0) {
@@ -597,7 +452,7 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
         gp.hess *= params_.scale_pos_weight;
       }
       gpairs[static_cast<size_t>(i)] = gp;
-    });
+    }
     // Row subsample. Marking the drawn rows in `row_leaf_` (0: the root)
     // and collecting them in index order yields the sorted sample without
     // a sort; rows left out stay -1 and are walked in the score update.
@@ -635,7 +490,8 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
       }
     }
 
-    RegressionTree tree = GrowTree(gpairs, std::move(rows), features);
+    RegressionTree tree =
+        GrowTree(gpairs, std::move(rows), std::move(features));
 
     int tree_splits = 0;
     double tree_gain = 0.0;
@@ -657,16 +513,16 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
       // `bin(v) <= b` equals `v < cut(b)`, the stored threshold. Rows left
       // out of the subsample are walked.
       TraceSpan span("gbt.update_scores", "train");
-      pool_.ParallelFor(n, [&](int64_t i) {
+      for (int64_t i = 0; i < n; ++i) {
         const int leaf = row_leaf_[static_cast<size_t>(i)];
         raw_train[static_cast<size_t>(i)] +=
             leaf >= 0 ? tree.node(leaf).value : tree.Predict(train_.row(i));
-      });
+      }
       if (validation != nullptr) {
-        pool_.ParallelFor(validation->num_rows(), [&](int64_t i) {
+        for (int64_t i = 0; i < validation->num_rows(); ++i) {
           raw_valid[static_cast<size_t>(i)] +=
               tree.Predict(validation->row(i));
-        });
+        }
       }
     }
     model.trees_.push_back(std::move(tree));
@@ -675,11 +531,10 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
     double train_metric = std::numeric_limits<double>::quiet_NaN();
     double valid_metric = std::numeric_limits<double>::quiet_NaN();
     if (log != nullptr || validation != nullptr || telemetry.active()) {
-      std::vector<double> preds(static_cast<size_t>(n));
-      pool_.ParallelFor(n, [&](int64_t i) {
-        preds[static_cast<size_t>(i)] =
-            objective_->Transform(raw_train[static_cast<size_t>(i)]);
-      });
+      std::vector<double> preds(raw_train.size());
+      for (size_t i = 0; i < raw_train.size(); ++i) {
+        preds[i] = objective_->Transform(raw_train[i]);
+      }
       train_metric = objective_->EvalDefaultMetric(train_.labels(), preds);
       if (validation != nullptr) {
         std::vector<double> vpreds(raw_valid.size());

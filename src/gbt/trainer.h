@@ -11,7 +11,6 @@
 #include "gbt/objective.h"
 #include "gbt/params.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace mysawh::gbt {
 
@@ -31,7 +30,7 @@ class Trainer {
     bool valid = false;
     int feature = -1;
     double threshold = 0.0;
-    int bin = -1;             ///< Hist method: split is "bin <= this".
+    int bin = -1;             ///< The split is "bin <= this".
     bool default_left = true; ///< Learned missing-value direction.
     double gain = 0.0;
     double weight_left = 0.0;   ///< Unshrunk child weights (for monotone
@@ -53,49 +52,24 @@ class Trainer {
   };
 
   double LeafWeight(double g, double h) const;
-  double ScoreFn(double g, double h) const;
 
-  /// Evaluates both missing-direction assignments for a partition
-  /// (left/right exclude missing) and updates `best` in place, skipping
-  /// candidates that violate the feature's monotone constraint or the
-  /// node's weight bounds. `parent_score` is ScoreFn(parent), hoisted out
-  /// because this runs once per candidate boundary.
-  void ConsiderSplit(const NodeStats& parent, double parent_score,
-                     const NodeStats& miss, double sum_g_left,
-                     double sum_h_left, int64_t count_left, int feature,
-                     double threshold, int bin, const NodeBounds& bounds,
-                     SplitCandidate* best) const;
+  /// Scans the node histogram of the `feature_pos`-th selected feature for
+  /// its best boundary. Only occupied boundaries are scored, each with both
+  /// missing-value directions; with monotone constraints configured, a
+  /// direction whose child weights break the feature's ordering or leave
+  /// `bounds` is dropped. Ties keep the smaller threshold, then missing-left.
+  SplitCandidate FindSplit(int feature_pos, const HistogramLayout& layout,
+                           const NodeHistogram& hist, const NodeStats& parent,
+                           const NodeBounds& bounds) const;
 
-  SplitCandidate FindSplitExact(int feature, const std::vector<int64_t>& rows,
-                                const std::vector<GradientPair>& gpairs,
-                                const NodeStats& parent,
-                                const NodeBounds& bounds) const;
-  /// Unconstrained hist boundary scan (no monotone constraints configured,
-  /// so node bounds are always infinite and no candidate can be rejected
-  /// after scoring). Same gains, tie-breaks, and results as the generic
-  /// path through ConsiderSplit, but only occupied boundaries are scored,
-  /// each with just the score divisions. This is the hist-mode hot loop.
-  SplitCandidate FindSplitHistFast(int feature, int nb,
-                                   const HistEntry* slots,
-                                   const NodeStats& miss,
-                                   const NodeStats& parent,
-                                   double parent_score,
-                                   int64_t present) const;
-  /// Scans the prebuilt node histogram of the `feature_pos`-th selected
-  /// feature for the best boundary.
-  SplitCandidate FindSplitHist(int feature_pos, const HistogramLayout& layout,
-                               const NodeHistogram& hist,
-                               const NodeStats& parent,
-                               const NodeBounds& bounds) const;
-
-  /// Recursively grows the subtree rooted at `node_id` over `rows`. In hist
-  /// mode `layout` is the tree's histogram layout and `hist` the node's
-  /// histogram (built lazily when empty); children inherit histograms via
-  /// the sibling-subtraction trick. In exact mode `layout` is null.
+  /// Recursively grows the subtree rooted at `node_id` over `rows`. `layout`
+  /// is the tree's histogram layout and `hist` the node's histogram (built
+  /// when empty); children inherit histograms via the sibling-subtraction
+  /// trick.
   void BuildNode(RegressionTree* tree, int node_id, std::vector<int64_t> rows,
                  int depth, const std::vector<GradientPair>& gpairs,
-                 const std::vector<int>& features, const NodeBounds& bounds,
-                 const HistogramLayout* layout, NodeHistogram hist);
+                 const NodeBounds& bounds, const HistogramLayout& layout,
+                 NodeHistogram hist);
 
   /// The monotone constraint of a feature (0 when none configured).
   int ConstraintOf(int feature) const;
@@ -103,15 +77,13 @@ class Trainer {
   /// Grows one tree on the (sub)sampled rows and features.
   RegressionTree GrowTree(const std::vector<GradientPair>& gpairs,
                           std::vector<int64_t> rows,
-                          const std::vector<int>& features);
+                          std::vector<int> features);
 
   const Dataset& train_;
   const GbtParams params_;
   std::unique_ptr<Objective> objective_;
   FeatureBins bins_;
   BinnedMatrix binned_;
-  std::unique_ptr<HistogramBuilder> hist_builder_;
-  bool use_hist_ = false;
   int64_t hist_nodes_direct_ = 0;      ///< Histograms built from rows.
   int64_t hist_nodes_subtracted_ = 0;  ///< Histograms derived by subtraction.
   /// Per training row, the node holding it in the tree being grown: the
@@ -119,7 +91,6 @@ class Trainer {
   /// round's subsample. The score update reads leaf values from it.
   std::vector<int> row_leaf_;
   Rng rng_;
-  ThreadPool pool_;
 };
 
 }  // namespace mysawh::gbt

@@ -11,10 +11,11 @@
 
 namespace mysawh {
 
-/// A fixed-size worker pool used to parallelize per-feature split finding
-/// and batch prediction. With `num_threads <= 1` all work runs inline on the
-/// calling thread, which keeps single-core environments overhead-free and
-/// makes results trivially deterministic.
+/// A fixed-size worker pool: the study's fit scheduler, batch prediction,
+/// TreeSHAP, and the audit and drift hooks run on one. A single fit runs on
+/// one thread. With `num_threads <= 1` all work runs inline on the calling
+/// thread, which keeps single-core environments overhead-free and makes
+/// results trivially deterministic.
 ///
 /// Nesting: work issued from inside a running task — on a worker, or inline
 /// — runs inline on that thread, whichever pool it is issued to. Only the

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace mysawh::gbt {
 namespace {
@@ -90,6 +95,58 @@ TEST(BinningTest, BinnedMatrixMatchesBinFor) {
     for (int64_t f = 0; f < 2; ++f) {
       EXPECT_EQ(matrix.At(r, f), bins.BinFor(f, ds.At(r, f)))
           << "row " << r << " feature " << f;
+    }
+  }
+}
+
+/// Five columns that stress the fused builder: continuous values with NaNs,
+/// infinities and both signed zeros, a few repeated levels, all missing, and
+/// constant.
+Dataset MakeEdgeCaseData(int64_t rows, uint64_t seed) {
+  Rng rng(seed);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {-inf, -0.0, 0.0, inf};
+  Dataset ds =
+      Dataset::Create({"nan", "inf_zero", "repeated", "all_nan", "constant"});
+  for (int64_t r = 0; r < rows; ++r) {
+    const double with_nan = rng.Bernoulli(0.2) ? kNaN : rng.Normal(0.0, 3.0);
+    const double with_specials = rng.Bernoulli(0.3)
+                                     ? specials[rng.UniformInt(0, 3)]
+                                     : rng.Uniform(-1.0, 1.0);
+    const double repeated = 0.25 * static_cast<double>(rng.UniformInt(0, 9));
+    EXPECT_TRUE(
+        ds.AddRow({with_nan, with_specials, repeated, kNaN, 4.5}, 0.0).ok());
+  }
+  return ds;
+}
+
+/// BuildBinned's one-pass radix sort and interleaved search must give the
+/// cuts and cells of the two-step reference builders, bit for bit, across
+/// the narrow/wide storage switch (254 -> 255 bins) and both sides of the
+/// radix sort's 128-value fallback.
+TEST(BinningTest, FusedBuildMatchesReference) {
+  for (const int64_t rows : {7, 129, 3000}) {
+    const Dataset ds = MakeEdgeCaseData(rows, static_cast<uint64_t>(rows));
+    for (const int max_bins : {2, 16, 64, 254, 255, 1024}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "rows " << rows << " max_bins " << max_bins);
+      const BinnedData fused = BuildBinned(ds, max_bins).value();
+      const FeatureBins bins = FeatureBins::Build(ds, max_bins).value();
+      const BinnedMatrix matrix = BinnedMatrix::Build(ds, bins);
+      EXPECT_EQ(fused.matrix.narrow(), max_bins <= 254);
+      ASSERT_EQ(fused.bins.num_features(), bins.num_features());
+      for (int64_t f = 0; f < ds.num_features(); ++f) {
+        ASSERT_EQ(fused.bins.num_bins(f), bins.num_bins(f)) << "feature " << f;
+        for (int b = 0; b < bins.num_bins(f); ++b) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(fused.bins.cut(f, b)),
+                    std::bit_cast<uint64_t>(bins.cut(f, b)))
+              << "feature " << f << " cut " << b;
+        }
+        for (int64_t r = 0; r < rows; ++r) {
+          EXPECT_EQ(fused.matrix.At(r, f), matrix.At(r, f))
+              << "feature " << f << " row " << r;
+        }
+      }
     }
   }
 }

@@ -1,10 +1,8 @@
-/// Regression tests of training determinism. The histogram pipeline
-/// accumulates in fixed-size chunks merged in a fixed order and the
-/// per-round gradient/prediction loops partition work identically for any
-/// worker count, so a trained model must be bit-identical no matter how
-/// many threads are used. The no-constraint fast split scan must likewise
-/// match the generic scan exactly, and the trainer's leaf-position score
-/// update must match a walk of the finished trees.
+/// Regression tests of determinism. Observability hooks must never change
+/// a model, prediction and TreeSHAP must be bit-identical for any worker
+/// count, all-zero monotone constraints must give the same model as none,
+/// and the trainer's leaf-position score update must match a walk of the
+/// finished trees.
 
 #include <gtest/gtest.h>
 
@@ -54,9 +52,8 @@ Dataset MakeData(int64_t rows) {
   return ds;
 }
 
-GbtParams BaseParams(TreeMethod method) {
+GbtParams BaseParams() {
   GbtParams params;
-  params.tree_method = method;
   params.num_trees = 12;
   params.max_depth = 4;
   params.subsample = 0.8;
@@ -65,68 +62,24 @@ GbtParams BaseParams(TreeMethod method) {
   return params;
 }
 
-class DeterminismTest : public ::testing::TestWithParam<TreeMethod> {};
-
-TEST_P(DeterminismTest, BitIdenticalAcrossThreadCounts) {
-  // 3000 rows exceeds one 2048-row histogram chunk, so the chunked
-  // reduction is genuinely exercised (not just the single-chunk path).
-  const Dataset train = MakeData(3000);
-  GbtParams params = BaseParams(GetParam());
-  params.num_threads = 1;
-  const std::string reference =
-      GbtModel::Train(train, params).value().Serialize();
-  for (int threads : {2, 8}) {
-    params.num_threads = threads;
-    const std::string serialized =
-        GbtModel::Train(train, params).value().Serialize();
-    EXPECT_EQ(serialized, reference) << "num_threads=" << threads;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Methods, DeterminismTest,
-                         ::testing::Values(TreeMethod::kHist,
-                                           TreeMethod::kExact));
-
-TEST(DeterminismTest, TelemetryBitIdenticalAcrossThreadCounts) {
-  // The telemetry artifact is part of the determinism contract: streams
-  // buffer per producer and serialize in sorted label order, so the JSONL
-  // must be byte-identical for any worker count.
-  const Dataset train = MakeData(3000);
-  const Dataset valid = MakeData(500);
-  GbtParams params = BaseParams(TreeMethod::kHist);
-  std::string reference;
-  for (int threads : {1, 2, 8}) {
-    params.num_threads = threads;
-    Telemetry::Global().Enable();
-    ASSERT_TRUE(GbtModel::Train(train, params, &valid).ok());
-    const std::string jsonl = Telemetry::Global().ToJsonl();
-    Telemetry::Global().Disable();
-    ASSERT_FALSE(jsonl.empty());
-    EXPECT_NE(jsonl.find("\"schema\":\"mysawh-telemetry v1\""),
-              std::string::npos);
-    EXPECT_NE(jsonl.find("\"valid\":"), std::string::npos);
-    if (threads == 1) {
-      reference = jsonl;
-    } else {
-      EXPECT_EQ(jsonl, reference) << "num_threads=" << threads;
-    }
-  }
-}
-
 TEST(DeterminismTest, TelemetryRecordingDoesNotChangeModel) {
   // Recording telemetry (and passing a validation set for the learning
   // curve) must never feed back into training: the serialized model with
   // telemetry on equals the plain run bit for bit.
   const Dataset train = MakeData(1500);
   const Dataset valid = MakeData(300);
-  const GbtParams params = BaseParams(TreeMethod::kHist);
+  const GbtParams params = BaseParams();
   const std::string plain =
       GbtModel::Train(train, params).value().Serialize();
   Telemetry::Global().Enable();
   const std::string instrumented =
       GbtModel::Train(train, params, &valid).value().Serialize();
+  const std::string jsonl = Telemetry::Global().ToJsonl();
   Telemetry::Global().Disable();
   EXPECT_EQ(instrumented, plain);
+  EXPECT_NE(jsonl.find("\"schema\":\"mysawh-telemetry v1\""),
+            std::string::npos);
+  EXPECT_NE(jsonl.find("\"valid\":"), std::string::npos);
 }
 
 TEST(DeterminismTest, LiveMonitorDoesNotChangeModelOrTelemetry) {
@@ -135,7 +88,7 @@ TEST(DeterminismTest, LiveMonitorDoesNotChangeModelOrTelemetry) {
   // artifact, because nothing in the monitor feeds back into training.
   const Dataset train = MakeData(1500);
   const Dataset valid = MakeData(300);
-  const GbtParams params = BaseParams(TreeMethod::kHist);
+  const GbtParams params = BaseParams();
 
   Telemetry::Global().Enable();
   const std::string plain_model =
@@ -168,22 +121,19 @@ TEST(DeterminismTest, FlatPredictBitIdenticalToReferenceAcrossThreadCounts) {
   // its trees in ascending order, so the worker count must not matter.
   const Dataset train = MakeData(1500);
   const Dataset probe = MakeData(333);
-  for (TreeMethod method : {TreeMethod::kHist, TreeMethod::kExact}) {
-    const GbtModel model =
-        GbtModel::Train(train, BaseParams(method)).value();
-    ASSERT_NE(model.flat_forest(), nullptr);
-    const std::vector<double> reference =
-        model.PredictRawReference(probe).value();
-    for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      std::vector<double> flat(static_cast<size_t>(probe.num_rows()));
-      model.flat_forest()->PredictRaw(probe, model.base_score(), flat.data(),
-                                      &pool);
-      ASSERT_EQ(flat.size(), reference.size());
-      for (size_t r = 0; r < flat.size(); ++r) {
-        EXPECT_EQ(flat[r], reference[r])
-            << "row " << r << " threads " << threads;
-      }
+  const GbtModel model = GbtModel::Train(train, BaseParams()).value();
+  ASSERT_NE(model.flat_forest(), nullptr);
+  const std::vector<double> reference =
+      model.PredictRawReference(probe).value();
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    std::vector<double> flat(static_cast<size_t>(probe.num_rows()));
+    model.flat_forest()->PredictRaw(probe, model.base_score(), flat.data(),
+                                    &pool);
+    ASSERT_EQ(flat.size(), reference.size());
+    for (size_t r = 0; r < flat.size(); ++r) {
+      EXPECT_EQ(flat[r], reference[r])
+          << "row " << r << " threads " << threads;
     }
   }
 }
@@ -194,8 +144,7 @@ TEST(DeterminismTest, FlatStagedPredictionsMatchReferenceWalker) {
   // bit-identical to walking the trees directly.
   const Dataset train = MakeData(1200);
   const Dataset probe = MakeData(200);
-  const GbtModel model =
-      GbtModel::Train(train, BaseParams(TreeMethod::kHist)).value();
+  const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   ASSERT_NE(model.flat_forest(), nullptr);
   const auto staged = model.PredictStaged(probe, 5).value();
   // Reference stages: per-row raw accumulation over tree prefixes.
@@ -226,8 +175,7 @@ TEST(DeterminismTest, FlatShapBitIdenticalToReferenceAcrossThreadCounts) {
   // reference divides per visit), so attributions are bit-identical for
   // any worker count.
   const Dataset train = MakeData(1000);
-  const GbtModel model =
-      GbtModel::Train(train, BaseParams(TreeMethod::kHist)).value();
+  const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   ASSERT_NE(model.flat_forest(), nullptr);
   const explain::TreeShap shap(&model);
   // A handful of rows keeps ShapBatch on the per-row recursion; several
@@ -259,8 +207,7 @@ TEST(DeterminismTest, AuditLogBitIdenticalAcrossThreadCounts) {
   // many workers predicted or explained the rows.
   const Dataset train = MakeData(1500);
   const Dataset probe = MakeData(300);
-  const GbtModel model =
-      GbtModel::Train(train, BaseParams(TreeMethod::kHist)).value();
+  const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   const explain::TreeShap shap(&model);
   std::string reference;
   for (int threads : {1, 2, 8}) {
@@ -288,8 +235,7 @@ TEST(DeterminismTest, AuditAndDriftObservationDoesNotChangePredictions) {
   // predictions to a plain one.
   const Dataset train = MakeData(1500);
   const Dataset probe = MakeData(400);
-  const GbtModel model =
-      GbtModel::Train(train, BaseParams(TreeMethod::kHist)).value();
+  const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   const std::vector<double> plain = model.Predict(probe).value();
   const core::DriftBaseline baseline =
       core::BuildDriftBaseline(train, model.Predict(train).value(), 10)
@@ -362,37 +308,36 @@ GbtParams PaperParams(bool data_driven, ObjectiveType objective) {
   return params;
 }
 
-/// All-zero monotone constraints force the generic ConsiderSplit scan;
-/// empty constraints take the compacted array scan. Both must produce the
-/// same model bit for bit.
-void ExpectFastMatchesGeneric(const Dataset& train, GbtParams params) {
-  const std::string fast = GbtModel::Train(train, params).value().Serialize();
+/// All-zero monotone constraints run the split scan's constraint pass,
+/// which may then drop no candidate; empty constraints skip it. Both must
+/// produce the same model bit for bit.
+void ExpectZeroConstraintsMatchNone(const Dataset& train, GbtParams params) {
+  const std::string none = GbtModel::Train(train, params).value().Serialize();
   params.monotone_constraints.assign(
       static_cast<size_t>(train.num_features()), 0);
-  const std::string generic =
-      GbtModel::Train(train, params).value().Serialize();
-  EXPECT_EQ(fast, generic);
+  const std::string zeros = GbtModel::Train(train, params).value().Serialize();
+  EXPECT_EQ(none, zeros);
 }
 
 TEST(DeterminismTest, FastSplitPathMatchesGenericPath) {
   {
     SCOPED_TRACE("continuous features");
-    ExpectFastMatchesGeneric(MakeData(1500), BaseParams(TreeMethod::kHist));
+    ExpectZeroConstraintsMatchNone(MakeData(1500), BaseParams());
   }
   const Dataset likert = MakeLikertData(1200, /*binary=*/false);
   {
     SCOPED_TRACE("Likert features, DD params");
-    ExpectFastMatchesGeneric(
+    ExpectZeroConstraintsMatchNone(
         likert, PaperParams(true, ObjectiveType::kSquaredError));
   }
   {
     SCOPED_TRACE("Likert features, KD params");
-    ExpectFastMatchesGeneric(
+    ExpectZeroConstraintsMatchNone(
         likert, PaperParams(false, ObjectiveType::kSquaredError));
   }
   {
     SCOPED_TRACE("Likert features, logistic objective");
-    ExpectFastMatchesGeneric(MakeLikertData(1200, /*binary=*/true),
+    ExpectZeroConstraintsMatchNone(MakeLikertData(1200, /*binary=*/true),
                              PaperParams(true, ObjectiveType::kLogistic));
   }
   {
@@ -401,11 +346,11 @@ TEST(DeterminismTest, FastSplitPathMatchesGenericPath) {
     // separate scalar loop.
     SCOPED_TRACE("more than 256 bins");
     const Dataset wide = MakeData(1500);
-    const BinnedData binned = BuildBinned(wide, 1024, nullptr).value();
+    const BinnedData binned = BuildBinned(wide, 1024).value();
     ASSERT_GT(binned.bins.num_bins(0), 256);
-    GbtParams params = BaseParams(TreeMethod::kHist);
+    GbtParams params = BaseParams();
     params.max_bins = 1024;
-    ExpectFastMatchesGeneric(wide, params);
+    ExpectZeroConstraintsMatchNone(wide, params);
   }
 }
 
@@ -417,25 +362,19 @@ TEST(DeterminismTest, ScoreCacheMatchesTreeWalk) {
   // binned split test routes every row to the leaf `v < threshold` does.
   const Dataset train = MakeData(1500);
   const Dataset valid = MakeData(300);
-  for (TreeMethod method : {TreeMethod::kHist, TreeMethod::kExact}) {
-    GbtParams params = BaseParams(method);
-    params.subsample = 0.9;
-    const auto objective = MakeObjective(params.objective);
-    const std::vector<const Dataset*> validations = {&valid, nullptr};
-    for (int threads : {1, 2, 8}) {
-      params.num_threads = threads;
-      for (const Dataset* validation : validations) {
-        TrainingLog log;
-        const GbtModel model =
-            GbtModel::Train(train, params, validation, &log).value();
-        ASSERT_EQ(log.rounds.size(), model.trees().size());
-        const std::vector<double> preds = model.Predict(train).value();
-        EXPECT_EQ(log.rounds.back().train_metric,
-                  objective->EvalDefaultMetric(train.labels(), preds))
-            << "method " << static_cast<int>(method) << " threads "
-            << threads << " validation " << (validation != nullptr);
-      }
-    }
+  GbtParams params = BaseParams();
+  params.subsample = 0.9;
+  const auto objective = MakeObjective(params.objective);
+  const std::vector<const Dataset*> validations = {&valid, nullptr};
+  for (const Dataset* validation : validations) {
+    TrainingLog log;
+    const GbtModel model =
+        GbtModel::Train(train, params, validation, &log).value();
+    ASSERT_EQ(log.rounds.size(), model.trees().size());
+    const std::vector<double> preds = model.Predict(train).value();
+    EXPECT_EQ(log.rounds.back().train_metric,
+              objective->EvalDefaultMetric(train.labels(), preds))
+        << "validation " << (validation != nullptr);
   }
 }
 

@@ -1,12 +1,13 @@
 /// Tests of the single-pass histogram pipeline: sibling subtraction must
-/// reproduce a directly built histogram, the chunked parallel reduction
-/// must match inline accumulation, and hist split decisions must be
-/// unchanged relative to a straightforward per-feature boundary scan.
+/// reproduce a directly built histogram, the build must keep its pinned
+/// chunk association, and hist split decisions must be unchanged relative
+/// to a straightforward per-feature boundary scan.
 
 #include "gbt/histogram.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -14,7 +15,6 @@
 
 #include "gbt/binning.h"
 #include "gbt/gbt_model.h"
-#include "util/thread_pool.h"
 
 namespace mysawh::gbt {
 namespace {
@@ -55,9 +55,8 @@ std::vector<GradientPair> MakeGpairs(const Dataset& data) {
 
 TEST(HistogramTest, SiblingSubtractionMatchesDirectBuild) {
   const Dataset data = MakeData(3000);
-  const BinnedData binned = BuildBinned(data, 64, nullptr).value();
+  const BinnedData binned = BuildBinned(data, 64).value();
   const std::vector<GradientPair> gpairs = MakeGpairs(data);
-  const HistogramBuilder builder(binned.bins, binned.matrix, nullptr);
   const HistogramLayout layout(binned.bins, {0, 1, 2, 3});
 
   std::vector<int64_t> all, left, right;
@@ -65,9 +64,12 @@ TEST(HistogramTest, SiblingSubtractionMatchesDirectBuild) {
     all.push_back(r);
     (r % 3 == 0 ? left : right).push_back(r);
   }
-  const NodeHistogram parent = builder.Build(layout, all, gpairs);
-  const NodeHistogram left_direct = builder.Build(layout, left, gpairs);
-  const NodeHistogram right_direct = builder.Build(layout, right, gpairs);
+  const NodeHistogram parent =
+      BuildHistogram(layout, binned.matrix, all, gpairs);
+  const NodeHistogram left_direct =
+      BuildHistogram(layout, binned.matrix, left, gpairs);
+  const NodeHistogram right_direct =
+      BuildHistogram(layout, binned.matrix, right, gpairs);
   const NodeHistogram subtracted = NodeHistogram::Subtract(parent, left_direct);
 
   ASSERT_EQ(subtracted.num_slots(), right_direct.num_slots());
@@ -83,30 +85,76 @@ TEST(HistogramTest, SiblingSubtractionMatchesDirectBuild) {
   }
 }
 
-TEST(HistogramTest, ParallelBuildMatchesInlineBuild) {
-  const Dataset data = MakeData(5000);  // several 2048-row chunks
-  const BinnedData binned = BuildBinned(data, 64, nullptr).value();
-  const std::vector<GradientPair> gpairs = MakeGpairs(data);
+/// The build sums each 2048-row chunk into a zeroed partial and adds the
+/// partials in chunk order. That association sets the bits of every node
+/// with more than one chunk of rows, so it is pinned here against a sum
+/// written out in that order, on gradients whose sums depend on it.
+TEST(HistogramTest, ChunkAssociationIsPinned) {
+  const Dataset data = MakeData(5000);  // two full chunks and a short one
+  const BinnedData binned = BuildBinned(data, 64).value();
   const HistogramLayout layout(binned.bins, {0, 1, 2, 3});
   std::vector<int64_t> rows;
-  for (int64_t r = 0; r < data.num_rows(); ++r) rows.push_back(r);
-
-  const HistogramBuilder inline_builder(binned.bins, binned.matrix, nullptr);
-  const NodeHistogram a = inline_builder.Build(layout, rows, gpairs);
-  ThreadPool pool(4);
-  const HistogramBuilder pooled(binned.bins, binned.matrix, &pool);
-  const NodeHistogram b = pooled.Build(layout, rows, gpairs);
-
-  ASSERT_EQ(a.num_slots(), b.num_slots());
-  for (int64_t i = 0; i < a.num_slots(); ++i) {
-    EXPECT_EQ(a.slots_data()[i].sum_g, b.slots_data()[i].sum_g);
-    EXPECT_EQ(a.slots_data()[i].sum_h, b.slots_data()[i].sum_h);
-    EXPECT_EQ(a.slots_data()[i].count, b.slots_data()[i].count);
+  std::vector<GradientPair> gpairs;
+  for (int64_t r = 0; r < data.num_rows(); ++r) {
+    rows.push_back(r);
+    // Non-integer gradients: their sums round differently by order.
+    gpairs.push_back({0.1 * data.label(r) + 1.0 / static_cast<double>(r + 3),
+                      0.3 + 0.01 * static_cast<double>(r % 7)});
   }
-  for (int64_t i = 0; i < a.num_miss(); ++i) {
-    EXPECT_EQ(a.miss_data()[i].sum_g, b.miss_data()[i].sum_g);
-    EXPECT_EQ(a.miss_data()[i].count, b.miss_data()[i].count);
+  const NodeHistogram built =
+      BuildHistogram(layout, binned.matrix, rows, gpairs);
+
+  // Slot of (row, selected feature i): its bin in the feature's run of
+  // slots, or the miss array (returned as slot -1 - i).
+  const auto slot_of = [&](int64_t r, int i) {
+    const uint16_t b = binned.matrix.At(r, layout.features()[i]);
+    return b == kMissingBin ? -1 - static_cast<int64_t>(i)
+                            : layout.offset(i) + b;
+  };
+  const size_t num_slots = static_cast<size_t>(layout.num_slots());
+  const size_t total = num_slots + static_cast<size_t>(layout.num_features());
+  const auto index_of = [&](int64_t slot) {
+    return slot >= 0 ? static_cast<size_t>(slot)
+                     : num_slots + static_cast<size_t>(-1 - slot);
+  };
+  std::vector<HistEntry> chunked(total), one_pass(total);
+  for (int64_t begin = 0; begin < data.num_rows(); begin += 2048) {
+    std::vector<HistEntry> partial(total);
+    const int64_t end = std::min<int64_t>(begin + 2048, data.num_rows());
+    for (int64_t r = begin; r < end; ++r) {
+      for (int i = 0; i < layout.num_features(); ++i) {
+        HistEntry& e = partial[index_of(slot_of(r, i))];
+        e.sum_g += gpairs[static_cast<size_t>(r)].grad;
+        e.sum_h += gpairs[static_cast<size_t>(r)].hess;
+        ++e.count;
+      }
+    }
+    for (size_t k = 0; k < total; ++k) {
+      chunked[k].sum_g += partial[k].sum_g;
+      chunked[k].sum_h += partial[k].sum_h;
+      chunked[k].count += partial[k].count;
+    }
   }
+  for (int64_t r = 0; r < data.num_rows(); ++r) {
+    for (int i = 0; i < layout.num_features(); ++i) {
+      HistEntry& e = one_pass[index_of(slot_of(r, i))];
+      e.sum_g += gpairs[static_cast<size_t>(r)].grad;
+      e.sum_h += gpairs[static_cast<size_t>(r)].hess;
+    }
+  }
+
+  int differs_from_one_pass = 0;
+  for (size_t k = 0; k < total; ++k) {
+    const HistEntry& got = k < num_slots ? built.slots_data()[k]
+                                         : built.miss_data()[k - num_slots];
+    EXPECT_EQ(got.sum_g, chunked[k].sum_g) << "slot " << k;
+    EXPECT_EQ(got.sum_h, chunked[k].sum_h) << "slot " << k;
+    EXPECT_EQ(got.count, chunked[k].count) << "slot " << k;
+    differs_from_one_pass += got.sum_g != one_pass[k].sum_g ||
+                             got.sum_h != one_pass[k].sum_h;
+  }
+  EXPECT_GT(differs_from_one_pass, 0)
+      << "the fixture must make the association observable";
 }
 
 /// The best root split of one feature found by the pre-refactor style
@@ -186,7 +234,6 @@ TEST(HistogramTest, HistSplitDecisionMatchesReferenceScan) {
   // Exact gradients: base_score 0 and squared error make the root
   // gradient of row r equal to -label(r), an integer.
   GbtParams params;
-  params.tree_method = TreeMethod::kHist;
   params.num_trees = 1;
   params.max_depth = 1;
   params.learning_rate = 1.0;
