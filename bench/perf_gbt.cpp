@@ -209,10 +209,8 @@ void BM_TrainDepth(benchmark::State& state) {
 BENCHMARK(BM_TrainDepth)->Arg(2)->Arg(4)->Arg(6)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// Batch prediction through the compiled flat-forest kernel (the default
-/// dispatch). BM_PredictBatchRef is the reference-walker twin over the
-/// same model and rows; their ratio is the compilation speedup claimed in
-/// DESIGN.md.
+/// Batch prediction through the compiled flat-forest kernel, the one
+/// prediction path.
 void BM_PredictBatch(benchmark::State& state) {
   const Dataset train = MakeData(2000, 32, 3);
   GbtParams params = BenchParams();
@@ -226,24 +224,6 @@ void BM_PredictBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * test.num_rows());
 }
 BENCHMARK(BM_PredictBatch)->Arg(20)->Arg(100)->Arg(300)
-    ->Unit(benchmark::kMillisecond);
-
-/// Reference twin of BM_PredictBatch: the per-row pointer walker over the
-/// original tree nodes, bypassing the flat forest. It returns raw margins;
-/// the squared-error objective's transform is the identity.
-void BM_PredictBatchRef(benchmark::State& state) {
-  const Dataset train = MakeData(2000, 32, 3);
-  GbtParams params = BenchParams();
-  params.num_trees = static_cast<int>(state.range(0));
-  const GbtModel model = GbtModel::Train(train, params).value();
-  const Dataset test = MakeData(1000, 32, 4);
-  for (auto _ : state) {
-    auto preds = model.PredictRawReference(test);
-    benchmark::DoNotOptimize(preds);
-  }
-  state.SetItemsProcessed(state.iterations() * test.num_rows());
-}
-BENCHMARK(BM_PredictBatchRef)->Arg(20)->Arg(100)->Arg(300)
     ->Unit(benchmark::kMillisecond);
 
 /// Overhead twin of BM_PredictBatch/300: the same batch predict with the

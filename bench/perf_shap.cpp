@@ -38,6 +38,8 @@ Dataset MakeData(int64_t rows, int64_t features, uint64_t seed) {
   return ds;
 }
 
+/// Single-row Shap(): the flat recursion over one quantized row, the path
+/// ExplainRow takes.
 void BM_ShapByTrees(benchmark::State& state) {
   const Dataset train = MakeData(2000, 30, 1);
   GbtParams params;
@@ -70,9 +72,8 @@ void BM_ShapByDepth(benchmark::State& state) {
 BENCHMARK(BM_ShapByDepth)->Arg(2)->Arg(4)->Arg(6)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
-/// Batch SHAP through the flat-forest recursion (the default dispatch).
-/// BM_ShapBatchRef is the reference per-tree recursion twin; their ratio
-/// is the flat SHAP speedup claimed in DESIGN.md.
+/// Batch SHAP: the per-row flat recursion at 10 rows, the pattern tables
+/// at 100.
 void BM_ShapBatch(benchmark::State& state) {
   const Dataset train = MakeData(2000, 59, 5);  // paper-width feature space
   GbtParams params;
@@ -88,24 +89,6 @@ void BM_ShapBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * probe.num_rows());
 }
 BENCHMARK(BM_ShapBatch)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
-
-/// Reference twin of BM_ShapBatch: per-(row, tree) recursion over the
-/// original tree nodes with a freshly allocated workspace each time.
-void BM_ShapBatchRef(benchmark::State& state) {
-  const Dataset train = MakeData(2000, 59, 5);
-  GbtParams params;
-  params.num_trees = 100;
-  params.max_depth = 4;
-  const GbtModel model = GbtModel::Train(train, params).value();
-  const TreeShap shap(&model);
-  const Dataset probe = MakeData(state.range(0), 59, 6);
-  for (auto _ : state) {
-    auto matrix = shap.ShapBatchReference(probe);
-    benchmark::DoNotOptimize(matrix);
-  }
-  state.SetItemsProcessed(state.iterations() * probe.num_rows());
-}
-BENCHMARK(BM_ShapBatchRef)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -88,7 +88,7 @@ inline uint64_t AuditSampleKey(const double* row, int64_t num_features) {
   return KeyAvalanche(hash);
 }
 
-/// FNV-1a over raw bytes; `GbtModel::CompileFlat` fingerprints the
+/// FNV-1a over raw bytes; `GbtModel::fingerprint` hashes the
 /// serialized model with this so every audit record names the exact model
 /// that produced it.
 uint64_t HashBytes(const void* data, size_t size);

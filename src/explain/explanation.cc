@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "gbt/objective.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 
@@ -44,13 +45,15 @@ Result<LocalExplanation> ExplainRow(const TreeShap& shap, const Dataset& data,
   if (data.num_features() != shap.model().num_features()) {
     return Status::InvalidArgument("ExplainRow: dataset width mismatch");
   }
+  const gbt::GbtModel& model = shap.model();
   LocalExplanation out;
   const double* x = data.row(row);
   const std::vector<double> phi = shap.Shap(x);
-  out.raw_prediction = shap.model().PredictRowRaw(x);
-  out.prediction = shap.model().PredictRow(x);
+  out.raw_prediction = model.PredictRowRaw(x);
+  out.prediction =
+      gbt::MakeObjective(model.objective_type())->Transform(out.raw_prediction);
   out.expected_value = shap.expected_value();
-  const auto& names = shap.model().feature_names();
+  const auto& names = model.feature_names();
   out.contributions.reserve(phi.size());
   for (size_t f = 0; f < phi.size(); ++f) {
     out.contributions.push_back({names[f], x[f], phi[f]});

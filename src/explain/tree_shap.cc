@@ -94,16 +94,19 @@ double UnwoundPathSum(const PathElement* path, int unique_depth,
 
 double SafeCover(double cover) { return std::max(cover, 1e-30); }
 
-/// Core recursion: walks every root-to-leaf path once, maintaining the set
-/// of unique features on the path with their zero/one fractions.
+/// Core recursion over the compiled flat forest: walks every root-to-leaf
+/// path once, maintaining the set of unique features on the path with their
+/// zero/one fractions. Child refs are leaf-tagged, the row's quantized bins
+/// pick the hot child, and the cover fractions were divided at compile
+/// time.
 ///
 /// `condition` extends the plain algorithm for interaction values
 /// (Lundberg et al., Algorithm 3): 0 computes ordinary SHAP values;
 /// +1 conditions on `condition_feature` being present (known), -1 on it
 /// being absent — the conditioned feature is kept off the path and its
 /// branch weights flow through `condition_fraction` instead.
-void TreeShapRecurse(const RegressionTree& tree, const double* x, double* phi,
-                     int node_index, int unique_depth,
+void FlatShapRecurse(const gbt::FlatForest& flat, const uint8_t* bins,
+                     double* phi, int32_t ref, int unique_depth,
                      PathElement* parent_unique_path,
                      double parent_zero_fraction, double parent_one_fraction,
                      int parent_feature_index, int condition,
@@ -118,32 +121,28 @@ void TreeShapRecurse(const RegressionTree& tree, const double* x, double* phi,
                parent_one_fraction, parent_feature_index);
   }
 
-  const TreeNode& node = tree.node(node_index);
-  if (node.IsLeaf()) {
+  if (ref < 0) {
+    const double value = flat.leaf_value(~ref);
     for (int i = 1; i <= unique_depth; ++i) {
       const double w = UnwoundPathSum(unique_path, unique_depth, i);
       const PathElement& el = unique_path[i];
       phi[el.feature_index] += w * (el.one_fraction - el.zero_fraction) *
-                               node.value * condition_fraction;
+                               value * condition_fraction;
     }
     return;
   }
 
-  const double v = x[node.feature];
-  int hot, cold;
-  if (std::isnan(v)) {
-    hot = node.default_left ? node.left : node.right;
-    cold = node.default_left ? node.right : node.left;
-  } else if (v < node.threshold) {
-    hot = node.left;
-    cold = node.right;
-  } else {
-    hot = node.right;
-    cold = node.left;
-  }
-  const double node_cover = SafeCover(node.cover);
-  const double hot_zero_fraction = tree.node(hot).cover / node_cover;
-  const double cold_zero_fraction = tree.node(cold).cover / node_cover;
+  const int feature = flat.feature(ref);
+  const uint8_t bin = bins[feature];
+  const bool left_hot = bin == gbt::kMissingBin
+                            ? flat.default_left(ref)
+                            : bin < flat.bin_threshold(ref);
+  const int32_t hot = left_hot ? flat.left(ref) : flat.right(ref);
+  const int32_t cold = left_hot ? flat.right(ref) : flat.left(ref);
+  const double hot_zero_fraction =
+      left_hot ? flat.left_fraction(ref) : flat.right_fraction(ref);
+  const double cold_zero_fraction =
+      left_hot ? flat.right_fraction(ref) : flat.left_fraction(ref);
   double incoming_zero_fraction = 1.0;
   double incoming_one_fraction = 1.0;
 
@@ -151,7 +150,7 @@ void TreeShapRecurse(const RegressionTree& tree, const double* x, double* phi,
   // and combine the fractions (each unique feature appears once).
   int path_index = 0;
   for (; path_index <= unique_depth; ++path_index) {
-    if (unique_path[path_index].feature_index == node.feature) break;
+    if (unique_path[path_index].feature_index == feature) break;
   }
   if (path_index != unique_depth + 1) {
     incoming_zero_fraction = unique_path[path_index].zero_fraction;
@@ -164,83 +163,22 @@ void TreeShapRecurse(const RegressionTree& tree, const double* x, double* phi,
   // the conditioned feature (which then stays off the path).
   double hot_condition_fraction = condition_fraction;
   double cold_condition_fraction = condition_fraction;
-  if (condition > 0 && node.feature == condition_feature) {
+  if (condition > 0 && feature == condition_feature) {
     cold_condition_fraction = 0.0;
     unique_depth -= 1;
-  } else if (condition < 0 && node.feature == condition_feature) {
+  } else if (condition < 0 && feature == condition_feature) {
     hot_condition_fraction *= hot_zero_fraction;
     cold_condition_fraction *= cold_zero_fraction;
     unique_depth -= 1;
   }
 
-  TreeShapRecurse(tree, x, phi, hot, unique_depth + 1, unique_path,
-                  hot_zero_fraction * incoming_zero_fraction,
-                  incoming_one_fraction, node.feature, condition,
-                  condition_feature, hot_condition_fraction);
-  TreeShapRecurse(tree, x, phi, cold, unique_depth + 1, unique_path,
-                  cold_zero_fraction * incoming_zero_fraction, 0.0,
-                  node.feature, condition, condition_feature,
-                  cold_condition_fraction);
-}
-
-/// The condition == 0 recursion of TreeShapRecurse, specialized onto the
-/// compiled flat forest: leaf-tagged child refs instead of node pointers,
-/// the row's quantized bins instead of double comparisons, and the
-/// compile-time cover fractions instead of per-visit divisions. Every
-/// arithmetic operation matches the reference recursion operand for
-/// operand, so the attributions are bit-identical.
-void FlatShapRecurse(const gbt::FlatForest& flat, const uint8_t* bins,
-                     double* phi, int32_t ref, int unique_depth,
-                     PathElement* parent_unique_path,
-                     double parent_zero_fraction, double parent_one_fraction,
-                     int parent_feature_index) {
-  PathElement* unique_path = parent_unique_path + unique_depth + 1;
-  std::copy(parent_unique_path, parent_unique_path + unique_depth + 1,
-            unique_path);
-  ExtendPath(unique_path, unique_depth, parent_zero_fraction,
-             parent_one_fraction, parent_feature_index);
-
-  if (ref < 0) {
-    const double value = flat.leaf_value(~ref);
-    for (int i = 1; i <= unique_depth; ++i) {
-      const double w = UnwoundPathSum(unique_path, unique_depth, i);
-      const PathElement& el = unique_path[i];
-      phi[el.feature_index] +=
-          w * (el.one_fraction - el.zero_fraction) * value;
-    }
-    return;
-  }
-
-  const int feature = flat.feature(ref);
-  const uint8_t bin = bins[feature];
-  const bool left_hot = bin == gbt::kFlatMissingBin
-                            ? flat.default_left(ref)
-                            : bin < flat.bin_threshold(ref);
-  const int32_t hot = left_hot ? flat.left(ref) : flat.right(ref);
-  const int32_t cold = left_hot ? flat.right(ref) : flat.left(ref);
-  const double hot_zero_fraction =
-      left_hot ? flat.left_fraction(ref) : flat.right_fraction(ref);
-  const double cold_zero_fraction =
-      left_hot ? flat.right_fraction(ref) : flat.left_fraction(ref);
-  double incoming_zero_fraction = 1.0;
-  double incoming_one_fraction = 1.0;
-
-  int path_index = 0;
-  for (; path_index <= unique_depth; ++path_index) {
-    if (unique_path[path_index].feature_index == feature) break;
-  }
-  if (path_index != unique_depth + 1) {
-    incoming_zero_fraction = unique_path[path_index].zero_fraction;
-    incoming_one_fraction = unique_path[path_index].one_fraction;
-    UnwindPath(unique_path, unique_depth, path_index);
-    unique_depth -= 1;
-  }
-
   FlatShapRecurse(flat, bins, phi, hot, unique_depth + 1, unique_path,
                   hot_zero_fraction * incoming_zero_fraction,
-                  incoming_one_fraction, feature);
+                  incoming_one_fraction, feature, condition,
+                  condition_feature, hot_condition_fraction);
   FlatShapRecurse(flat, bins, phi, cold, unique_depth + 1, unique_path,
-                  cold_zero_fraction * incoming_zero_fraction, 0.0, feature);
+                  cold_zero_fraction * incoming_zero_fraction, 0.0, feature,
+                  condition, condition_feature, cold_condition_fraction);
 }
 
 /// Workspace size for any tree of the flat forest (the forest-wide depth
@@ -250,15 +188,17 @@ size_t FlatWorkspaceSize(const gbt::FlatForest& flat) {
   return static_cast<size_t>((maxd * (maxd + 1)) / 2 + maxd + 1);
 }
 
-/// One row's attributions over every tree of the flat forest. `workspace`
-/// must hold FlatWorkspaceSize(flat) elements; it is reusable across rows
-/// and trees because every slot the recursion reads was written earlier in
-/// the same recursion (the root ExtendPath fully initializes element 0).
+/// One row's (possibly conditioned) attributions over every tree of the
+/// flat forest. `workspace` must hold FlatWorkspaceSize(flat) elements; it
+/// is reusable across rows and trees because every slot the recursion
+/// reads was written earlier in the same recursion (the root ExtendPath
+/// fully initializes element 0).
 void FlatShapRow(const gbt::FlatForest& flat, const uint8_t* bins,
-                 PathElement* workspace, double* phi) {
+                 PathElement* workspace, double* phi, int condition,
+                 int condition_feature) {
   for (int t = 0; t < flat.num_trees(); ++t) {
     FlatShapRecurse(flat, bins, phi, flat.root(t), 0, workspace, 1.0, 1.0,
-                    -1);
+                    -1, condition, condition_feature, 1.0);
   }
 }
 
@@ -326,7 +266,8 @@ void CountPatternVisits(const gbt::FlatForest& flat, int32_t ref, int depth,
                      pattern_visits);
 }
 
-/// FlatShapRecurse with the row's direction bit replaced by an enumeration
+/// FlatShapRecurse (condition 0) with the row's direction bit replaced by an
+/// enumeration
 /// of both directions: at every internal node the recursion forks on
 /// b = "row goes left here", so each leaf is reached once per ancestor
 /// pattern, carrying exactly the path state the per-row recursion would
@@ -443,7 +384,7 @@ void PatternReplayTree(const gbt::FlatForest& flat, const PatternTable& tbl,
       continue;
     }
     const uint8_t bin = bins[flat.feature(e.ref)];
-    const bool go_left = bin == gbt::kFlatMissingBin
+    const bool go_left = bin == gbt::kMissingBin
                              ? flat.default_left(e.ref)
                              : bin < flat.bin_threshold(e.ref);
     const uint32_t p =
@@ -486,21 +427,6 @@ bool UsePatternTables(const gbt::FlatForest& flat, int64_t rows) {
   return 2.0 * pattern_visits <= direct_visits;
 }
 
-/// Workspace large enough for one recursion over `tree`.
-std::vector<PathElement> MakeWorkspace(const RegressionTree& tree) {
-  const int maxd = tree.MaxDepth() + 2;
-  return std::vector<PathElement>(
-      static_cast<size_t>((maxd * (maxd + 1)) / 2 + maxd + 1));
-}
-
-/// Accumulates one tree's (possibly conditioned) SHAP values into `phi`.
-void AccumulateTreeShap(const RegressionTree& tree, const double* x,
-                        double* phi, int condition, int condition_feature) {
-  std::vector<PathElement> workspace = MakeWorkspace(tree);
-  TreeShapRecurse(tree, x, phi, 0, 0, workspace.data(), 1.0, 1.0, -1,
-                  condition, condition_feature, 1.0);
-}
-
 /// Cover-weighted mean leaf value of one tree.
 double TreeExpectedValue(const RegressionTree& tree, int node_index) {
   const TreeNode& node = tree.node(node_index);
@@ -525,29 +451,34 @@ TreeShap::TreeShap(const gbt::GbtModel* model) : model_(model) {
 }
 
 std::vector<double> TreeShap::Shap(const double* row) const {
-  std::vector<double> phi(static_cast<size_t>(model_->num_features()), 0.0);
-  for (const auto& tree : model_->trees()) {
-    AccumulateTreeShap(tree, row, phi.data(), /*condition=*/0,
-                       /*condition_feature=*/-1);
-  }
+  const gbt::FlatForest& flat = *model_->flat_forest();
+  std::vector<uint8_t> bins(static_cast<size_t>(flat.num_features()));
+  flat.BinRow(row, bins.data());
+  std::vector<PathElement> workspace(FlatWorkspaceSize(flat));
+  std::vector<double> phi(bins.size(), 0.0);
+  FlatShapRow(flat, bins.data(), workspace.data(), phi.data(),
+              /*condition=*/0, /*condition_feature=*/-1);
   return phi;
 }
 
 std::vector<double> TreeShap::ShapInteractions(const double* row) const {
-  const auto m = static_cast<size_t>(model_->num_features());
+  const gbt::FlatForest& flat = *model_->flat_forest();
+  const auto m = static_cast<size_t>(flat.num_features());
+  std::vector<uint8_t> bins(m);
+  flat.BinRow(row, bins.data());
+  std::vector<PathElement> workspace(FlatWorkspaceSize(flat));
   std::vector<double> interactions(m * m, 0.0);
-  const std::vector<double> phi = Shap(row);
-  std::vector<double> diag = phi;  // main effects start at the full values
+  std::vector<double> diag(m, 0.0);  // main effects start at the full values
+  FlatShapRow(flat, bins.data(), workspace.data(), diag.data(),
+              /*condition=*/0, /*condition_feature=*/-1);
   std::vector<double> phi_on(m), phi_off(m);
   for (size_t i = 0; i < m; ++i) {
     std::fill(phi_on.begin(), phi_on.end(), 0.0);
     std::fill(phi_off.begin(), phi_off.end(), 0.0);
-    for (const auto& tree : model_->trees()) {
-      AccumulateTreeShap(tree, row, phi_on.data(), /*condition=*/1,
-                         static_cast<int>(i));
-      AccumulateTreeShap(tree, row, phi_off.data(), /*condition=*/-1,
-                         static_cast<int>(i));
-    }
+    FlatShapRow(flat, bins.data(), workspace.data(), phi_on.data(),
+                /*condition=*/1, static_cast<int>(i));
+    FlatShapRow(flat, bins.data(), workspace.data(), phi_off.data(),
+                /*condition=*/-1, static_cast<int>(i));
     for (size_t j = 0; j < m; ++j) {
       if (j == i) continue;
       const double pairwise = (phi_on[j] - phi_off[j]) / 2.0;
@@ -561,23 +492,17 @@ std::vector<double> TreeShap::ShapInteractions(const double* row) const {
 
 Result<std::vector<std::vector<double>>> TreeShap::ShapBatch(
     const Dataset& data, ThreadPool* pool) const {
-  const gbt::FlatForest* flat = model_->flat_forest();
-  if (flat == nullptr) return ShapBatchReference(data, pool);
   if (data.num_features() != model_->num_features()) {
     return Status::InvalidArgument("ShapBatch: dataset width mismatch");
   }
+  const gbt::FlatForest* flat = model_->flat_forest();
   TraceSpan span("shap.batch", "explain");
   span.Arg("rows", data.num_rows());
-  span.Arg("flat", 1);
   static Counter* const rows_counter =
       MetricsRegistry::Global().GetCounter("shap.batch_rows");
   rows_counter->Increment(data.num_rows());
-  static Counter* const flat_rows_counter =
-      MetricsRegistry::Global().GetCounter("shap.batch_flat_rows");
-  flat_rows_counter->Increment(data.num_rows());
   // Quantize the whole batch once; each row then runs the flat recursion
-  // with ONE workspace for all its trees (the reference path allocates one
-  // per (row, tree) and re-derives each tree's depth recursively).
+  // with ONE workspace for all its trees.
   const std::vector<uint8_t> bins = flat->BinMatrix(data);
   const size_t workspace_size = FlatWorkspaceSize(*flat);
   const auto m = static_cast<size_t>(model_->num_features());
@@ -606,37 +531,13 @@ Result<std::vector<std::vector<double>>> TreeShap::ShapBatch(
       std::vector<PathElement> workspace(workspace_size);
       std::vector<double> phi(m, 0.0);
       FlatShapRow(*flat, bins.data() + static_cast<size_t>(r) * m,
-                  workspace.data(), phi.data());
+                  workspace.data(), phi.data(), /*condition=*/0,
+                  /*condition_feature=*/-1);
       out[static_cast<size_t>(r)] = std::move(phi);
     });
   }
   // Audit hook: on the calling thread after the parallel loop, so
   // recording can never perturb the attributions it logs.
-  if (core::AuditEnabled()) {
-    core::AuditLog::Global().RecordShapBatch(model_->fingerprint(), data, out);
-  }
-  return out;
-}
-
-Result<std::vector<std::vector<double>>> TreeShap::ShapBatchReference(
-    const Dataset& data, ThreadPool* pool) const {
-  if (data.num_features() != model_->num_features()) {
-    return Status::InvalidArgument("ShapBatch: dataset width mismatch");
-  }
-  TraceSpan span("shap.batch", "explain");
-  span.Arg("rows", data.num_rows());
-  span.Arg("flat", 0);
-  static Counter* const rows_counter =
-      MetricsRegistry::Global().GetCounter("shap.batch_rows");
-  rows_counter->Increment(data.num_rows());
-  // Each row's attribution is an independent recursion with its own
-  // workspace writing its own output slot, so the pool changes nothing
-  // about the values — only the wall clock.
-  std::vector<std::vector<double>> out(static_cast<size_t>(data.num_rows()));
-  ThreadPool& workers = pool != nullptr ? *pool : DefaultPool();
-  workers.ParallelFor(data.num_rows(), [&](int64_t r) {
-    out[static_cast<size_t>(r)] = Shap(data.row(r));
-  });
   if (core::AuditEnabled()) {
     core::AuditLog::Global().RecordShapBatch(model_->fingerprint(), data, out);
   }

@@ -20,7 +20,9 @@ namespace mysawh::explain {
 ///
 /// where expected_value() is the cover-weighted mean raw output of the
 /// ensemble. Cover is the training hessian mass per node, matching
-/// XGBoost's TreeSHAP semantics. Runs in O(trees * leaves * depth^2).
+/// XGBoost's TreeSHAP semantics. Runs in O(trees * leaves * depth^2). Every
+/// entry point runs one recursion over the model's compiled flat forest
+/// (gbt/flat_forest.h).
 class TreeShap {
  public:
   /// `model` must outlive this object.
@@ -29,22 +31,15 @@ class TreeShap {
   /// SHAP values for one row (num_features() doubles; NaN = missing).
   std::vector<double> Shap(const double* row) const;
 
-  /// SHAP values for every row of `data` (one inner vector per row). Runs
-  /// the flat-forest recursion when the model compiled one (bit-identical
-  /// to the reference recursion; see gbt/flat_forest.h), the reference
-  /// per-tree recursion otherwise. Batches with more rows than the forest
-  /// has ancestor-direction patterns amortize further: every
-  /// (leaf, pattern) addend is precomputed once per batch and each row
-  /// replays a table-lookup walk — same values, same accumulation order,
-  /// so still bit-identical. Rows are explained in parallel on `pool`
-  /// (nullptr = the shared `DefaultPool()`); the output equals calling
-  /// Shap() per row for any thread count and either batch strategy.
+  /// SHAP values for every row of `data` (one inner vector per row).
+  /// Batches with more rows than the forest has ancestor-direction
+  /// patterns amortize the recursion: every (leaf, pattern) addend is
+  /// precomputed once per batch and each row replays a table-lookup walk —
+  /// same values, same accumulation order, so bit-identical. Rows are
+  /// explained in parallel on `pool` (nullptr = the shared
+  /// `DefaultPool()`); the output equals calling Shap() per row for any
+  /// thread count and either batch strategy.
   Result<std::vector<std::vector<double>>> ShapBatch(
-      const Dataset& data, ThreadPool* pool = nullptr) const;
-
-  /// The uncompiled batch path (per-tree pointer recursion); the benchmark
-  /// twin and equivalence tests measure ShapBatch against this.
-  Result<std::vector<std::vector<double>>> ShapBatchReference(
       const Dataset& data, ThreadPool* pool = nullptr) const;
 
   /// SHAP interaction values for one row: an M x M matrix (row-major,

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "util/resource_stats.h"
@@ -43,12 +44,20 @@ std::vector<double> CutsFromDistinct(const std::vector<double>& values,
   return cuts;
 }
 
+/// Both builders take at most kMaxBins bins, so every cell fits a byte
+/// below the missing sentinel.
+Status CheckMaxBins(int max_bins) {
+  if (max_bins < 2 || max_bins > kMaxBins) {
+    return Status::InvalidArgument("max_bins must be in [2, " +
+                                   std::to_string(kMaxBins) + "]");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<FeatureBins> FeatureBins::Build(const Dataset& data, int max_bins) {
-  if (max_bins < 2) {
-    return Status::InvalidArgument("max_bins must be >= 2");
-  }
+  MYSAWH_RETURN_NOT_OK(CheckMaxBins(max_bins));
   FeatureBins out;
   out.cuts_.resize(static_cast<size_t>(data.num_features()));
   for (int64_t f = 0; f < data.num_features(); ++f) {
@@ -70,13 +79,13 @@ Result<FeatureBins> FeatureBins::Build(const Dataset& data, int max_bins) {
   return out;
 }
 
-uint16_t FeatureBins::BinFor(int64_t feature, double value) const {
+uint8_t FeatureBins::BinFor(int64_t feature, double value) const {
   if (std::isnan(value)) return kMissingBin;
   const auto& cuts = cuts_[static_cast<size_t>(feature)];
   // First bin whose upper boundary exceeds the value.
   const auto it = std::upper_bound(cuts.begin(), cuts.end(), value);
   const auto idx = static_cast<size_t>(it - cuts.begin());
-  return static_cast<uint16_t>(std::min(idx, cuts.size() - 1));
+  return static_cast<uint8_t>(std::min(idx, cuts.size() - 1));
 }
 
 BinnedMatrix BinnedMatrix::Build(const Dataset& data,
@@ -84,10 +93,10 @@ BinnedMatrix BinnedMatrix::Build(const Dataset& data,
   BinnedMatrix out;
   out.num_rows_ = data.num_rows();
   out.num_features_ = data.num_features();
-  out.bins_.resize(static_cast<size_t>(data.num_rows() * data.num_features()));
+  out.cells_.resize(static_cast<size_t>(data.num_rows() * data.num_features()));
   for (int64_t r = 0; r < data.num_rows(); ++r) {
     for (int64_t f = 0; f < data.num_features(); ++f) {
-      out.bins_[static_cast<size_t>(r * out.num_features_ + f)] =
+      out.cells_[static_cast<size_t>(r * out.num_features_ + f)] =
           bins.BinFor(f, data.At(r, f));
     }
   }
@@ -172,10 +181,9 @@ inline size_t BinSearch(const double* c, size_t m, double v) {
 }
 
 /// Derives one feature's cuts from its present cells and writes its column
-/// of row-major bin cells (BinT is the cell width).
-template <typename BinT>
+/// of row-major bin cells.
 void BuildFeature(const std::vector<PresentCell>& present, int64_t nf,
-                  int64_t f, int max_bins, BinT* cells,
+                  int64_t f, int max_bins, uint8_t* cells,
                   std::vector<double>* cuts_out) {
   auto& cuts = *cuts_out;
   if (present.empty()) {
@@ -215,25 +223,24 @@ void BuildFeature(const std::vector<PresentCell>& present, int64_t nf,
     b2 += c[b2] <= v2 ? 1 : 0;
     b3 += c[b3] <= v3 ? 1 : 0;
     cells[present[i].row * nf + f] =
-        static_cast<BinT>(b0 >= m ? m - 1 : b0);
+        static_cast<uint8_t>(b0 >= m ? m - 1 : b0);
     cells[present[i + 1].row * nf + f] =
-        static_cast<BinT>(b1 >= m ? m - 1 : b1);
+        static_cast<uint8_t>(b1 >= m ? m - 1 : b1);
     cells[present[i + 2].row * nf + f] =
-        static_cast<BinT>(b2 >= m ? m - 1 : b2);
+        static_cast<uint8_t>(b2 >= m ? m - 1 : b2);
     cells[present[i + 3].row * nf + f] =
-        static_cast<BinT>(b3 >= m ? m - 1 : b3);
+        static_cast<uint8_t>(b3 >= m ? m - 1 : b3);
   }
   for (; i < sz; ++i) {
     cells[present[i].row * nf + f] =
-        static_cast<BinT>(BinSearch(c, m, present[i].value));
+        static_cast<uint8_t>(BinSearch(c, m, present[i].value));
   }
 }
 
 /// Collects one feature's present (non-NaN) cells in row order, writing
 /// missing sentinels as it goes.
-template <typename BinT, BinT MissingV>
 std::vector<PresentCell> CollectPresent(const Dataset& data, int64_t f,
-                                        BinT* cells) {
+                                        uint8_t* cells) {
   const int64_t n = data.num_rows();
   const int64_t nf = data.num_features();
   std::vector<PresentCell> present;
@@ -241,7 +248,7 @@ std::vector<PresentCell> CollectPresent(const Dataset& data, int64_t f,
   for (int64_t r = 0; r < n; ++r) {
     const double v = data.At(r, f);
     if (std::isnan(v)) {
-      cells[r * nf + f] = MissingV;
+      cells[r * nf + f] = kMissingBin;
     } else {
       present.push_back({v, r});
     }
@@ -252,9 +259,7 @@ std::vector<PresentCell> CollectPresent(const Dataset& data, int64_t f,
 }  // namespace
 
 Result<BinnedData> BuildBinned(const Dataset& data, int max_bins) {
-  if (max_bins < 2) {
-    return Status::InvalidArgument("max_bins must be >= 2");
-  }
+  MYSAWH_RETURN_NOT_OK(CheckMaxBins(max_bins));
   TraceSpan span("gbt.binning", "train");
   span.Arg("rows", data.num_rows());
   span.Arg("features", data.num_features());
@@ -264,33 +269,16 @@ Result<BinnedData> BuildBinned(const Dataset& data, int max_bins) {
   out.bins.cuts_.resize(static_cast<size_t>(nf));
   out.matrix.num_rows_ = n;
   out.matrix.num_features_ = nf;
-  // With at most 254 bins per feature the cells fit one byte; CutsFromDistinct
-  // never produces more than max_bins cuts, so the cap is known up front.
-  const bool narrow = max_bins <= 254;
-  out.matrix.narrow_ = narrow;
-  if (narrow) {
-    out.matrix.bytes_.resize(static_cast<size_t>(n * nf));
-    TrackAlloc(AllocCategory::kBinnedMatrix,
-               static_cast<int64_t>(out.matrix.bytes_.size()));
-  } else {
-    out.matrix.bins_.resize(static_cast<size_t>(n * nf));
-    TrackAlloc(AllocCategory::kBinnedMatrix,
-               static_cast<int64_t>(out.matrix.bins_.size() *
-                                    sizeof(uint16_t)));
-  }
+  // CutsFromDistinct never produces more than max_bins <= kMaxBins cuts, so
+  // every bin fits one byte below the missing sentinel.
+  out.matrix.cells_.resize(static_cast<size_t>(n * nf));
+  TrackAlloc(AllocCategory::kBinnedMatrix,
+             static_cast<int64_t>(out.matrix.cells_.size()));
+  uint8_t* cells = out.matrix.cells_.data();
   for (int64_t f = 0; f < nf; ++f) {
-    std::vector<double>* cuts = &out.bins.cuts_[static_cast<size_t>(f)];
-    if (narrow) {
-      uint8_t* cells = out.matrix.bytes_.data();
-      const std::vector<PresentCell> col =
-          CollectPresent<uint8_t, kMissingBin8>(data, f, cells);
-      BuildFeature<uint8_t>(col, nf, f, max_bins, cells, cuts);
-    } else {
-      uint16_t* cells = out.matrix.bins_.data();
-      const std::vector<PresentCell> col =
-          CollectPresent<uint16_t, kMissingBin>(data, f, cells);
-      BuildFeature<uint16_t>(col, nf, f, max_bins, cells, cuts);
-    }
+    const std::vector<PresentCell> col = CollectPresent(data, f, cells);
+    BuildFeature(col, nf, f, max_bins, cells,
+                 &out.bins.cuts_[static_cast<size_t>(f)]);
   }
   return out;
 }
@@ -306,7 +294,7 @@ std::vector<BinOccupancy> ComputeBinOccupancy(const FeatureBins& bins,
     entry.num_bins = bins.num_bins(f);
     counts.assign(static_cast<size_t>(entry.num_bins), 0);
     for (int64_t r = 0; r < n; ++r) {
-      const uint16_t b = matrix.At(r, f);
+      const uint8_t b = matrix.At(r, f);
       if (b == kMissingBin) {
         ++entry.missing;
       } else {

@@ -11,13 +11,16 @@ namespace mysawh::gbt {
 
 class BinnedData;
 
-/// Sentinel bin index for a missing (NaN) feature value.
-inline constexpr uint16_t kMissingBin = 0xFFFF;
+/// Most bins a feature may have. Bins are bytes end to end: the quantized
+/// training matrix stores one byte per cell, and 0xFF is the missing
+/// sentinel, so bins run 0..253. A forest trained on at most 254 bins has
+/// at most 253 distinct thresholds per feature, which the compiled flat
+/// forest (gbt/flat_forest.h) always holds.
+inline constexpr int kMaxBins = 254;
 
-/// Missing sentinel of the narrow (byte) bin storage, used when every
-/// feature has at most 254 bins so the whole quantized matrix fits one
-/// byte per cell.
-inline constexpr uint8_t kMissingBin8 = 0xFF;
+/// Sentinel bin of a missing (NaN) feature value, in the training matrix and
+/// in the flat forest's quantized rows alike.
+inline constexpr uint8_t kMissingBin = 0xFF;
 
 /// Per-feature quantile cut points for the histogram tree method.
 ///
@@ -29,7 +32,7 @@ inline constexpr uint8_t kMissingBin8 = 0xFF;
 class FeatureBins {
  public:
   /// Builds cut points from the training data with at most `max_bins` bins
-  /// per feature.
+  /// per feature; `max_bins` must be in [2, kMaxBins].
   static Result<FeatureBins> Build(const Dataset& data, int max_bins);
 
   int64_t num_features() const {
@@ -46,48 +49,34 @@ class FeatureBins {
   }
 
   /// Maps a raw value to its bin (kMissingBin for NaN).
-  uint16_t BinFor(int64_t feature, double value) const;
+  uint8_t BinFor(int64_t feature, double value) const;
 
  private:
   friend Result<BinnedData> BuildBinned(const Dataset& data, int max_bins);
   std::vector<std::vector<double>> cuts_;
 };
 
-/// The whole training matrix quantized to bins, row-major so one pass over
-/// a node's rows touches each row's bins contiguously and can feed the
-/// histograms of every feature at once. When every feature has at most 254
-/// bins (max_bins <= 254, the common case) cells are stored as single
-/// bytes, halving the memory streamed by the histogram pass; otherwise a
-/// uint16 cell is used.
+/// The whole training matrix quantized to one byte per cell, row-major so
+/// one pass over a node's rows touches each row's bins contiguously and can
+/// feed the histograms of every feature at once.
 class BinnedMatrix {
  public:
-  /// Quantizes `data` with the given `bins` (wide storage).
+  /// Quantizes `data` with the given `bins`.
   static BinnedMatrix Build(const Dataset& data, const FeatureBins& bins);
 
   int64_t num_rows() const { return num_rows_; }
   int64_t num_features() const { return num_features_; }
-  /// Whether cells are stored as bytes (see data8/data16).
-  bool narrow() const { return narrow_; }
-  /// Bin of (row, feature); missing is reported as kMissingBin for both
-  /// storage widths.
-  uint16_t At(int64_t row, int64_t feature) const {
-    const auto i = static_cast<size_t>(row * num_features_ + feature);
-    if (narrow_) {
-      const uint8_t b = bytes_[i];
-      return b == kMissingBin8 ? kMissingBin : b;
-    }
-    return bins_[i];
+  /// Bin of (row, feature); kMissingBin for a missing value.
+  uint8_t At(int64_t row, int64_t feature) const {
+    return cells_[static_cast<size_t>(row * num_features_ + feature)];
   }
-  /// Raw row-major cells; valid only for the matching narrow() state. The
-  /// histogram builder reads these directly in its hot loop.
-  const uint8_t* data8() const { return bytes_.data(); }
-  const uint16_t* data16() const { return bins_.data(); }
+  /// Raw row-major cells. The histogram builder reads these directly in its
+  /// hot loop.
+  const uint8_t* data() const { return cells_.data(); }
 
  private:
   friend Result<BinnedData> BuildBinned(const Dataset& data, int max_bins);
-  std::vector<uint16_t> bins_;   // wide cells (row * num_features + feature)
-  std::vector<uint8_t> bytes_;   // narrow cells, same layout
-  bool narrow_ = false;
+  std::vector<uint8_t> cells_;  // row * num_features + feature
   int64_t num_rows_ = 0;
   int64_t num_features_ = 0;
 };
@@ -121,6 +110,7 @@ std::vector<BinOccupancy> ComputeBinOccupancy(const FeatureBins& bins,
 /// binary search, four at a time. Produces exactly the same cuts and bins
 /// as FeatureBins::Build followed by BinnedMatrix::Build
 /// (BinningTest.FusedBuildMatchesReference), several times faster.
+/// `max_bins` must be in [2, kMaxBins].
 Result<BinnedData> BuildBinned(const Dataset& data, int max_bins);
 
 }  // namespace mysawh::gbt

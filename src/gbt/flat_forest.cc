@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <climits>
 #include <cmath>
 #include <limits>
 
@@ -14,12 +15,13 @@ namespace mysawh::gbt {
 namespace {
 
 /// Cover floor of the TreeSHAP recursion (explain/tree_shap.cc SafeCover).
-/// The compile-time fractions must divide by exactly the same value the
-/// reference recursion divides by, or the flat SHAP port would drift.
+/// The compile-time fractions must divide by exactly the floor the pointer
+/// recursion of the test oracle divides by per visit, or the attributions
+/// would drift from its bits.
 double SafeCover(double cover) { return std::max(cover, 1e-30); }
 
 /// Widest per-feature cut array the uint8 bin encoding can address: bins
-/// run 0..254 and kFlatMissingBin (255) is reserved for NaN.
+/// run 0..254 and kMissingBin (255) is reserved for NaN.
 constexpr int kMaxCutsPerFeature = 254;
 
 /// log2(kFlatPredictBlock): the walk step addresses the column panel as
@@ -33,10 +35,11 @@ static_assert(kFlatPredictBlock == (int64_t{1} << kBlockShift),
 Result<FlatForest> FlatForest::Compile(
     const std::vector<RegressionTree>& trees, int64_t num_features) {
   TraceSpan span("gbt.flat.compile", "gbt");
-  if (num_features < 0 || num_features > INT16_MAX) {
-    return Status::FailedPrecondition(
+  if (num_features < 0 || num_features > kFlatMaxFeatures) {
+    return Status::InvalidArgument(
         "flat compile: feature space width " + std::to_string(num_features) +
-        " exceeds the int16 node encoding");
+        " exceeds the int16 node encoding (max " +
+        std::to_string(kFlatMaxFeatures) + ")");
   }
   FlatForest flat;
   flat.num_features_ = num_features;
@@ -65,7 +68,7 @@ Result<FlatForest> FlatForest::Compile(
     }
   }
   if (total_internal > INT32_MAX || total_leaves > INT32_MAX) {
-    return Status::FailedPrecondition("flat compile: forest too large");
+    return Status::InvalidArgument("flat compile: forest too large");
   }
   flat.cut_offsets_.reserve(static_cast<size_t>(num_features) + 1);
   flat.cut_offsets_.push_back(0);
@@ -75,7 +78,7 @@ Result<FlatForest> FlatForest::Compile(
         std::unique(feature_cuts.begin(), feature_cuts.end()),
         feature_cuts.end());
     if (static_cast<int>(feature_cuts.size()) > kMaxCutsPerFeature) {
-      return Status::FailedPrecondition(
+      return Status::InvalidArgument(
           "flat compile: " + std::to_string(feature_cuts.size()) +
           " distinct thresholds on one feature exceed the uint8 bin "
           "encoding (max " + std::to_string(kMaxCutsPerFeature) + ")");
@@ -136,7 +139,7 @@ Result<FlatForest> FlatForest::Compile(
         flat.feature_.push_back(static_cast<int16_t>(n.feature));
         // The threshold was inserted into this feature's cut array above,
         // so lower_bound lands exactly on it; going left on
-        // bin < (index + 1) is then exactly the reference's v < threshold.
+        // bin < (index + 1) is then exactly the node's v < threshold.
         const double* lo =
             flat.cut_values_.data() + flat.cut_offsets_[
                 static_cast<size_t>(n.feature)];
@@ -291,7 +294,7 @@ void FlatForest::BinRow(const double* row, uint8_t* out) const {
     for (int64_t j = 0; j < kBinLanes; ++j) {
       const auto count = static_cast<uint8_t>(
           pos[j] + static_cast<int64_t>(base[j][pos[j]] <= v[j]));
-      out[f + j] = std::isnan(v[j]) ? kFlatMissingBin : count;
+      out[f + j] = std::isnan(v[j]) ? kMissingBin : count;
     }
   }
   for (; f < num_features_; ++f) {
@@ -303,7 +306,7 @@ void FlatForest::BinRow(const double* row, uint8_t* out) const {
     }
     const auto count = static_cast<uint8_t>(
         pos + static_cast<int64_t>(base[pos] <= v));
-    out[f] = std::isnan(v) ? kFlatMissingBin : count;
+    out[f] = std::isnan(v) ? kMissingBin : count;
   }
 }
 
@@ -318,112 +321,30 @@ std::vector<uint8_t> FlatForest::BinMatrix(const Dataset& data) const {
 
 namespace {
 
-/// One branchless level of the walk. A finished lane (leaf-tagged ref)
-/// self-loops; it reads node 0's data as a harmless dummy, so the step
-/// compiles to loads + conditional selects with no unpredictable branch.
-/// The bin test is exact: a missing bin (255) never satisfies
-/// bin < threshold (threshold <= 254), so the learned default direction
-/// decides via the bitmask.
-inline int32_t StepNode(int32_t ref, const uint8_t* row_bins,
-                        const int16_t* feature, const uint8_t* threshold,
-                        const int32_t* left, const int32_t* right,
-                        const uint64_t* default_bits) {
-  // All selects are arithmetic masks, never ternaries: the walk directions
-  // are data-dependent coin flips, and a compiler-emitted conditional jump
-  // would cost a ~15-cycle mispredict on half the steps. Mask form keeps
-  // the whole step on the load/ALU ports so the lanes actually overlap.
-  const int32_t leaf_mask = ref >> 31;  // all ones when parked on a leaf
-  const auto node = static_cast<size_t>(ref & ~leaf_mask);
-  const uint8_t bin = row_bins[feature[node]];
-  const uint32_t go_default_left =
-      static_cast<uint32_t>(default_bits[node >> 6] >> (node & 63)) & 1u;
-  const auto lt = static_cast<uint32_t>(bin < threshold[node]);
-  const auto missing = static_cast<uint32_t>(bin == kFlatMissingBin);
-  const int32_t go_left_mask =
-      -static_cast<int32_t>(lt | (missing & go_default_left));
-  const int32_t next =
-      (left[node] & go_left_mask) | (right[node] & ~go_left_mask);
-  return (ref & leaf_mask) | (next & ~leaf_mask);
-}
-
 /// Rows walked through one tree simultaneously. The per-visit cost is
 /// dominated by the dependent load chain (bin -> compare -> child ref ->
 /// next bin), so giving the core kLanes independent chains overlaps their
 /// latencies instead of stalling on one.
 constexpr int kLanes = 8;
 
-}  // namespace
-
-void FlatForest::Accumulate(const uint8_t* bins, int64_t rows,
-                            int tree_begin, int tree_end, double* raw) const {
-  const int16_t* const feature = feature_.data();
-  const uint8_t* const threshold = bin_threshold_.data();
-  const int32_t* const left = left_.data();
-  const int32_t* const right = right_.data();
-  const uint64_t* const default_bits = default_left_bits_.data();
-  const double* const leaves = leaf_values_.data();
-  const int64_t stride = num_features_;
-  // Trees outer, rows inner: one tree's few SoA cache lines are reused
-  // across the whole row block before moving on. Every lane runs exactly
-  // the tree's height in steps — no per-level exit test — with finished
-  // lanes parked on their leaf ref by StepNode.
-  for (int t = tree_begin; t < tree_end; ++t) {
-    const int32_t root = roots_[static_cast<size_t>(t)];
-    if (root < 0) {
-      const double value = leaves[~root];
-      for (int64_t r = 0; r < rows; ++r) raw[r] += value;
-      continue;
-    }
-    const int32_t depth = tree_depths_[static_cast<size_t>(t)];
-    int64_t r = 0;
-    for (; r + kLanes <= rows; r += kLanes) {
-      const uint8_t* row_bins[kLanes];
-      int32_t ref[kLanes];
-      for (int l = 0; l < kLanes; ++l) {
-        row_bins[l] = bins + (r + l) * stride;
-        ref[l] = root;
-      }
-      for (int32_t d = 0; d < depth; ++d) {
-        for (int l = 0; l < kLanes; ++l) {
-          ref[l] = StepNode(ref[l], row_bins[l], feature, threshold, left,
-                            right, default_bits);
-        }
-      }
-      // Identical summation order to the reference walker: row r gets its
-      // trees in ascending order, one leaf value per tree.
-      for (int l = 0; l < kLanes; ++l) raw[r + l] += leaves[~ref[l]];
-    }
-    for (; r < rows; ++r) {
-      const uint8_t* const row_bins = bins + r * stride;
-      int32_t ref = root;
-      do {
-        ref = StepNode(ref, row_bins, feature, threshold, left, right,
-                       default_bits);
-      } while (ref >= 0);
-      raw[r] += leaves[~ref];
-    }
-  }
-}
-
-namespace {
-
-/// One branchless level of the panel walk (the packed-table twin of
-/// StepNode): one metadata load, one panel byte, one indexed child load —
-/// no compare-and-select on the child (the interleaving puts the taken
-/// child at 2 * node + go_left) and no leaf-tag masking (a leaf
-/// pseudo-node has metadata 0, so go_left is always 0 and its go-right
-/// slot points back at itself). `panel_bins` points at the lane's row
-/// inside the feature-major panel, so every lane shares the same three
-/// base pointers — with the lane index folded into the displacement the
-/// whole 8-lane step fits the register file, which is what lets the
-/// independent load chains actually overlap.
+/// One branchless level of the panel walk: one metadata load, one panel
+/// byte, one indexed child load — no compare-and-select on the child (the
+/// interleaving puts the taken child at 2 * node + go_left) and no leaf-tag
+/// masking (a leaf pseudo-node has metadata 0, so go_left is always 0 and
+/// its go-right slot points back at itself). The bin test is exact: a
+/// missing bin (255) never satisfies bin < threshold (threshold <= 254), so
+/// the learned default direction decides. `panel_bins` points at the
+/// lane's row inside the feature-major panel, so every lane shares the
+/// same three base pointers — with the lane index folded into the
+/// displacement the whole 8-lane step fits the register file, which is
+/// what lets the independent load chains actually overlap.
 inline int32_t StepPacked(int32_t node, const uint8_t* panel_bins,
                           const uint32_t* meta, const int32_t* children) {
   const uint32_t m = meta[static_cast<size_t>(node)];
   const uint8_t bin = panel_bins[(m >> 9) << kBlockShift];
   const auto bin_threshold = static_cast<uint8_t>(m >> 1);
   const auto lt = static_cast<uint32_t>(bin < bin_threshold);
-  const auto missing = static_cast<uint32_t>(bin == kFlatMissingBin);
+  const auto missing = static_cast<uint32_t>(bin == kMissingBin);
   const uint32_t go_left = lt | (missing & m & 1u);
   return children[(static_cast<size_t>(node) << 1) + go_left];
 }
@@ -431,12 +352,12 @@ inline int32_t StepPacked(int32_t node, const uint8_t* panel_bins,
 }  // namespace
 
 void FlatForest::AccumulateBlock(const uint8_t* bins_cm, int64_t rows,
+                                 int tree_begin, int tree_end,
                                  double* raw) const {
   const uint32_t* const meta = node_meta_.data();
   const int32_t* const children = children_.data();
   const double* const values = node_value_.data();
-  const int trees = num_trees();
-  for (int t = 0; t < trees; ++t) {
+  for (int t = tree_begin; t < tree_end; ++t) {
     const int32_t root = kernel_roots_[static_cast<size_t>(t)];
     const int32_t depth = tree_depths_[static_cast<size_t>(t)];
     int64_t r = 0;
@@ -450,8 +371,8 @@ void FlatForest::AccumulateBlock(const uint8_t* bins_cm, int64_t rows,
           node[l] = StepPacked(node[l], bins_cm + r + l, meta, children);
         }
       }
-      // Identical summation order to the reference walker: row r gets its
-      // trees in ascending order, one leaf value per tree.
+      // Row r gets its trees in ascending order, one leaf value per tree:
+      // the summation order of a pointer walk over the trees.
       for (int l = 0; l < kLanes; ++l) raw[r + l] += values[node[l]];
     }
     for (; r < rows; ++r) {
@@ -464,8 +385,44 @@ void FlatForest::AccumulateBlock(const uint8_t* bins_cm, int64_t rows,
   }
 }
 
-void FlatForest::PredictRaw(const Dataset& data, double base_score,
-                            double* out, ThreadPool* pool) const {
+void FlatForest::PredictBlock(const double* rows, int64_t n,
+                              double base_score, int stride, double* out,
+                              int64_t out_stride) const {
+  // Quantize each row, then transpose it into the feature-major panel the
+  // walk kernel addresses by (feature << kBlockShift) + row. ~F * 64 bytes,
+  // L1-resident.
+  std::vector<uint8_t> row_bins(static_cast<size_t>(num_features_));
+  std::vector<uint8_t> panel(
+      static_cast<size_t>(num_features_) * kFlatPredictBlock);
+  for (int64_t r = 0; r < n; ++r) {
+    BinRow(rows + r * num_features_, row_bins.data());
+    for (int64_t f = 0; f < num_features_; ++f) {
+      panel[static_cast<size_t>((f << kBlockShift) + r)] =
+          row_bins[static_cast<size_t>(f)];
+    }
+  }
+  double acc[kFlatPredictBlock];
+  std::fill_n(acc, n, base_score);
+  const int trees = num_trees();
+  int begin = 0;
+  double* stage = out;
+  do {
+    const int end = stride >= trees - begin ? trees : begin + stride;
+    AccumulateBlock(panel.data(), n, begin, end, acc);
+    std::copy(acc, acc + n, stage);
+    stage += out_stride;
+    begin = end;
+  } while (begin < trees);
+}
+
+int64_t FlatForest::NumStages(int stride) const {
+  const int64_t trees = num_trees();
+  return trees == 0 ? 1 : (trees + stride - 1) / stride;
+}
+
+void FlatForest::PredictStages(const Dataset& data, double base_score,
+                               int stride, double* out,
+                               ThreadPool* pool) const {
   const int64_t rows = data.num_rows();
   const int64_t blocks = (rows + kFlatPredictBlock - 1) / kFlatPredictBlock;
   static Counter* const blocks_counter =
@@ -473,31 +430,23 @@ void FlatForest::PredictRaw(const Dataset& data, double base_score,
   blocks_counter->Increment(blocks);
   ThreadPool& workers = pool != nullptr ? *pool : DefaultPool();
   // Blocks write disjoint output slots and every row sums its trees in
-  // ascending order, so the result is bit-identical to the sequential
-  // reference walker for any worker count.
+  // ascending order, so the result is the same for any worker count.
   workers.ParallelFor(blocks, [&](int64_t block) {
     const int64_t begin = block * kFlatPredictBlock;
-    const int64_t n = std::min(kFlatPredictBlock, rows - begin);
-    std::vector<uint8_t> block_bins(static_cast<size_t>(n * num_features_));
-    for (int64_t r = 0; r < n; ++r) {
-      BinRow(data.row(begin + r), block_bins.data() + r * num_features_);
-    }
-    // Transpose into the feature-major panel the walk kernel addresses by
-    // (feature << kBlockShift) + row. ~F * 64 bytes, L1-resident.
-    std::vector<uint8_t> panel(
-        static_cast<size_t>(num_features_) * kFlatPredictBlock);
-    for (int64_t r = 0; r < n; ++r) {
-      const uint8_t* const row_bins =
-          block_bins.data() + r * num_features_;
-      for (int64_t f = 0; f < num_features_; ++f) {
-        panel[static_cast<size_t>((f << kBlockShift) + r)] = row_bins[f];
-      }
-    }
-    double acc[kFlatPredictBlock];
-    for (int64_t r = 0; r < n; ++r) acc[r] = base_score;
-    AccumulateBlock(panel.data(), n, acc);
-    std::copy(acc, acc + n, out + begin);
+    PredictBlock(data.row(begin), std::min(kFlatPredictBlock, rows - begin),
+                 base_score, stride, out + begin, rows);
   });
+}
+
+void FlatForest::PredictRaw(const Dataset& data, double base_score,
+                            double* out, ThreadPool* pool) const {
+  PredictStages(data, base_score, INT_MAX, out, pool);
+}
+
+double FlatForest::PredictRowRaw(const double* row, double base_score) const {
+  double out = 0.0;
+  PredictBlock(row, 1, base_score, INT_MAX, &out, 1);
+  return out;
 }
 
 }  // namespace mysawh::gbt

@@ -5,15 +5,16 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "gbt/binning.h"
 #include "gbt/tree.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace mysawh::gbt {
 
-/// Sentinel bin of a missing (NaN) feature value in a quantized row. Shared
-/// with the training-side byte matrix (gbt/binning.h kMissingBin8).
-inline constexpr uint8_t kFlatMissingBin = 0xFF;
+/// Widest feature space the compiled forest addresses: node features are
+/// `int16`.
+inline constexpr int64_t kFlatMaxFeatures = INT16_MAX;
 
 /// Rows per predict block: the batch kernel quantizes this many rows into a
 /// feature-major (column) byte panel and walks them through the forest with
@@ -30,10 +31,11 @@ inline constexpr int64_t kFlatPredictBlock = 64;
 /// construction a subset of the `BuildBinned` cuts the splits were chosen
 /// from) and rewrites each internal node's double threshold as a `uint8`
 /// bin index against those cuts. An input row is quantized once —
-/// `bin(v) = #{cuts <= v}`, NaN -> kFlatMissingBin — after which every
-/// node test `v < threshold` becomes the byte comparison
-/// `bin < bin_threshold`, an exact equivalence (see docs/gbt.md), so the
-/// flat kernels are bit-identical to the reference pointer walker.
+/// `bin(v) = #{cuts <= v}`, NaN -> kMissingBin — after which every node
+/// test `v < threshold` becomes the byte comparison `bin < bin_threshold`,
+/// an exact equivalence (see docs/gbt.md), so the flat kernels return the
+/// bits of a pointer walk over the trees (the test oracle in
+/// tests/reference_walkers.h).
 ///
 /// Layout (globally indexed, per-tree contiguous ranges):
 ///   * internal nodes: `int16 feature`, `uint8 bin_threshold`,
@@ -42,10 +44,10 @@ inline constexpr int64_t kFlatPredictBlock = 64;
 ///   * child refs are leaf-tagged: `ref >= 0` is an internal node index,
 ///     `ref < 0` refers to leaf `~ref` in the `double leaf_value` array.
 ///
-/// A forest whose shape cannot be compiled (more than 254 distinct
-/// thresholds on one feature, more than 32767 features) is reported by
-/// Compile with FailedPrecondition; callers fall back to the reference
-/// walker.
+/// Compile rejects, with InvalidArgument, a forest the encoding cannot hold:
+/// more than 254 distinct thresholds on one feature, or more than
+/// kFlatMaxFeatures features. A forest trained on at most kMaxBins bins is
+/// never rejected.
 class FlatForest {
  public:
   FlatForest() = default;
@@ -84,8 +86,8 @@ class FlatForest {
             (node & 63)) & 1;
   }
   /// Cover fraction of the left/right child (child cover / parent cover,
-  /// the TreeSHAP zero-fraction), precomputed at compile time with exactly
-  /// the arithmetic of the reference recursion.
+  /// the TreeSHAP zero-fraction), precomputed at compile time as
+  /// child.cover / max(parent.cover, 1e-30).
   double left_fraction(int64_t node) const {
     return left_fraction_[static_cast<size_t>(node)];
   }
@@ -107,27 +109,37 @@ class FlatForest {
   }
 
   /// Quantizes one row of num_features() doubles into `out` (num_features()
-  /// bytes): bin(v) = number of cuts <= v, NaN -> kFlatMissingBin.
+  /// bytes): bin(v) = number of cuts <= v, NaN -> kMissingBin.
   void BinRow(const double* row, uint8_t* out) const;
 
   /// Quantizes every row of `data` (width must match) into a row-major
   /// byte matrix.
   std::vector<uint8_t> BinMatrix(const Dataset& data) const;
 
-  /// raw[r] += leaf values of trees [tree_begin, tree_end), accumulated in
-  /// ascending tree order per row — the same summation order as the
-  /// reference walker. `bins` is `rows` quantized rows (BinRow layout).
-  void Accumulate(const uint8_t* bins, int64_t rows, int tree_begin,
-                  int tree_end, double* raw) const;
+  /// Stages PredictStages writes for `stride` (>= 1): one per `stride`
+  /// trees, the last ending at the whole forest; 1 for an empty forest.
+  int64_t NumStages(int stride) const;
 
-  /// Full batch kernel: out[r] = base_score + every tree's leaf for row r.
-  /// Rows are processed in cache-sized blocks with the trees in the inner
-  /// loop (one pass over the node block per ~64 rows); blocks run in
-  /// parallel on `pool` (nullptr = the shared DefaultPool()). Each block
-  /// writes disjoint slots and sums trees in ascending order, so the
-  /// output is bit-identical to the reference walker for any thread count.
+  /// Staged batch kernel. Stage s of row r, out[s * rows + r], is
+  /// base_score plus row r's leaf values of the trees before the stage's
+  /// end (min((s + 1) * stride, num_trees())), added in ascending tree
+  /// order. `out` holds NumStages(stride) * rows doubles. Rows are
+  /// processed in 64-row blocks with the trees in the inner loop (one pass
+  /// over the node block per block); blocks run in parallel on `pool`
+  /// (nullptr = the shared DefaultPool()). Each block writes disjoint
+  /// slots and every row sums its trees in ascending order from
+  /// base_score, so the output is the same for any thread count.
+  void PredictStages(const Dataset& data, double base_score, int stride,
+                     double* out, ThreadPool* pool = nullptr) const;
+
+  /// PredictStages with one stage: out[r] = base_score + every tree's leaf
+  /// for row r.
   void PredictRaw(const Dataset& data, double base_score, double* out,
                   ThreadPool* pool = nullptr) const;
+
+  /// One row of num_features() doubles: the batch kernel's block body on a
+  /// block of one row, on the calling thread.
+  double PredictRowRaw(const double* row, double base_score) const;
 
  private:
   /// Recomputes the derived kernel state from the canonical arrays:
@@ -135,12 +147,18 @@ class FlatForest {
   /// and the interleaved child-ref pairs. Called at the end of Compile.
   void BuildDerivedState();
 
-  /// Column-major predict kernel for one block: `bins_cm` is a
-  /// feature-major panel (feature f's column at bins_cm + f *
-  /// kFlatPredictBlock, rows 0..rows-1 contiguous within it). Adds every
-  /// tree's leaf value to raw[0..rows), ascending tree order per row.
-  void AccumulateBlock(const uint8_t* bins_cm, int64_t rows,
-                       double* raw) const;
+  /// The block body: quantizes `n` <= kFlatPredictBlock contiguous rows
+  /// into the feature-major panel, walks them through the forest, and
+  /// writes stage s of row r to out[s * out_stride + r].
+  void PredictBlock(const double* rows, int64_t n, double base_score,
+                    int stride, double* out, int64_t out_stride) const;
+
+  /// Column-major walk kernel for one block: `bins_cm` is a feature-major
+  /// panel (feature f's column at bins_cm + f * kFlatPredictBlock, rows
+  /// 0..rows-1 contiguous within it). Adds the leaf values of trees
+  /// [tree_begin, tree_end) to raw[0..rows), ascending tree order per row.
+  void AccumulateBlock(const uint8_t* bins_cm, int64_t rows, int tree_begin,
+                       int tree_end, double* raw) const;
 
   int64_t num_features_ = 0;
   int max_depth_ = 0;

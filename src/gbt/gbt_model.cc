@@ -17,9 +17,17 @@ namespace mysawh::gbt {
 
 Result<GbtModel> GbtModel::Train(const Dataset& train, const GbtParams& params,
                                  const Dataset* validation, TrainingLog* log) {
+  // The one shape a trained forest can have that the flat encoding cannot
+  // hold; bins are capped at kMaxBins, so the thresholds always fit.
+  if (train.num_features() > kFlatMaxFeatures) {
+    return Status::InvalidArgument(
+        "training set has " + std::to_string(train.num_features()) +
+        " features; the compiled forest holds at most " +
+        std::to_string(kFlatMaxFeatures));
+  }
   Trainer trainer(train, params);
   MYSAWH_ASSIGN_OR_RETURN(GbtModel model, trainer.Run(validation, log));
-  model.CompileFlat();
+  MYSAWH_RETURN_NOT_OK(model.CompileFlat());
   return model;
 }
 
@@ -33,27 +41,18 @@ uint64_t GbtModel::fingerprint() const {
   return fingerprint_->value;
 }
 
-void GbtModel::CompileFlat() {
+Status GbtModel::CompileFlat() {
   // A (re)compile is the only time the forest can change, so it is where
   // the fingerprint of the old trees is dropped.
   fingerprint_ = std::make_shared<Fingerprint>();
-  flat_.reset();
-  Result<FlatForest> compiled = FlatForest::Compile(trees_, num_features());
-  if (compiled.ok()) {
-    flat_ = std::make_shared<const FlatForest>(std::move(compiled).value());
-    return;
-  }
-  // An uncompilable shape (e.g. >254 distinct thresholds on one feature)
-  // is not an error — the reference walker handles every valid forest.
-  static Counter* const fallback_counter = MetricsRegistry::Global().GetCounter(
-      "gbt.predict.flat_compile_fallbacks");
-  fallback_counter->Increment();
+  MYSAWH_ASSIGN_OR_RETURN(FlatForest compiled,
+                          FlatForest::Compile(trees_, num_features()));
+  flat_ = std::make_shared<const FlatForest>(std::move(compiled));
+  return Status::Ok();
 }
 
 double GbtModel::PredictRowRaw(const double* row) const {
-  double raw = base_score_;
-  for (const auto& tree : trees_) raw += tree.Predict(row);
-  return raw;
+  return flat_->PredictRowRaw(row, base_score_);
 }
 
 double GbtModel::PredictRow(const double* row) const {
@@ -67,17 +66,8 @@ Result<std::vector<double>> GbtModel::PredictRaw(const Dataset& data) const {
         "Predict: dataset width " + std::to_string(data.num_features()) +
         " != model width " + std::to_string(num_features()));
   }
-  if (flat_ == nullptr) {
-    // Uncompilable ensemble shape: count the rows served by the slow path
-    // so a serving deployment can see it is not on the flat kernel.
-    static Counter* const fallback_rows = MetricsRegistry::Global().GetCounter(
-        "gbt.predict.flat_fallback_rows");
-    fallback_rows->Increment(data.num_rows());
-    return PredictRawReference(data);
-  }
   TraceSpan span("gbt.predict", "predict");
   span.Arg("rows", data.num_rows());
-  span.Arg("flat", 1);
   static Counter* const rows_counter =
       MetricsRegistry::Global().GetCounter("gbt.predict.rows");
   rows_counter->Increment(data.num_rows());
@@ -86,28 +76,6 @@ Result<std::vector<double>> GbtModel::PredictRaw(const Dataset& data) const {
   flat_rows_counter->Increment(data.num_rows());
   std::vector<double> out(static_cast<size_t>(data.num_rows()));
   flat_->PredictRaw(data, base_score_, out.data());
-  return out;
-}
-
-Result<std::vector<double>> GbtModel::PredictRawReference(
-    const Dataset& data) const {
-  if (data.num_features() != num_features()) {
-    return Status::InvalidArgument(
-        "Predict: dataset width " + std::to_string(data.num_features()) +
-        " != model width " + std::to_string(num_features()));
-  }
-  TraceSpan span("gbt.predict", "predict");
-  span.Arg("rows", data.num_rows());
-  span.Arg("flat", 0);
-  static Counter* const rows_counter =
-      MetricsRegistry::Global().GetCounter("gbt.predict.rows");
-  rows_counter->Increment(data.num_rows());
-  // Rows are independent and write disjoint slots, so the shared pool keeps
-  // results bit-identical to the sequential loop.
-  std::vector<double> out(static_cast<size_t>(data.num_rows()));
-  DefaultPool().ParallelFor(data.num_rows(), [&](int64_t i) {
-    out[static_cast<size_t>(i)] = PredictRowRaw(data.row(i));
-  });
   return out;
 }
 
@@ -135,49 +103,18 @@ Result<std::vector<std::vector<double>>> GbtModel::PredictStaged(
   if (data.num_features() != num_features()) {
     return Status::InvalidArgument("PredictStaged: dataset width mismatch");
   }
+  const auto num_stages = static_cast<size_t>(flat_->NumStages(stride));
+  const auto rows = static_cast<size_t>(data.num_rows());
+  std::vector<double> raw(num_stages * rows);
+  flat_->PredictStages(data, base_score_, stride, raw.data());
   const auto objective = MakeObjective(objective_type_);
-  std::vector<double> raw(static_cast<size_t>(data.num_rows()), base_score_);
-  std::vector<std::vector<double>> stages;
-  auto snapshot = [&] {
-    std::vector<double> stage(raw.size());
-    for (size_t i = 0; i < raw.size(); ++i) {
-      stage[i] = objective->Transform(raw[i]);
-    }
-    stages.push_back(std::move(stage));
-  };
-  if (flat_ != nullptr) {
-    // Quantize once, then every stage walk is byte comparisons over the
-    // flat block. Per row the leaf values still sum in ascending tree
-    // order from base_score_, so stages match the reference walker bit
-    // for bit.
-    const std::vector<uint8_t> bins = flat_->BinMatrix(data);
-    constexpr int64_t kChunk = 256;
-    const int64_t chunks = (data.num_rows() + kChunk - 1) / kChunk;
-    for (size_t t = 0; t < trees_.size(); ++t) {
-      DefaultPool().ParallelFor(chunks, [&](int64_t c) {
-        const int64_t begin = c * kChunk;
-        const int64_t n = std::min(kChunk, data.num_rows() - begin);
-        flat_->Accumulate(bins.data() + begin * num_features(), n,
-                          static_cast<int>(t), static_cast<int>(t) + 1,
-                          raw.data() + begin);
-      });
-      if ((t + 1) % static_cast<size_t>(stride) == 0 ||
-          t + 1 == trees_.size()) {
-        snapshot();
-      }
-    }
-    if (trees_.empty()) snapshot();
-    return stages;
-  }
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    DefaultPool().ParallelFor(data.num_rows(), [&](int64_t r) {
-      raw[static_cast<size_t>(r)] += trees_[t].Predict(data.row(r));
-    });
-    if ((t + 1) % static_cast<size_t>(stride) == 0 || t + 1 == trees_.size()) {
-      snapshot();
+  std::vector<std::vector<double>> stages(num_stages,
+                                          std::vector<double>(rows));
+  for (size_t s = 0; s < num_stages; ++s) {
+    for (size_t r = 0; r < rows; ++r) {
+      stages[s][r] = objective->Transform(raw[s * rows + r]);
     }
   }
-  if (trees_.empty()) snapshot();
   return stages;
 }
 
@@ -302,6 +239,7 @@ Result<GbtModel> GbtModel::Deserialize(const std::string& text) {
       return Status::InvalidArgument("bad num_trees line");
     }
     MYSAWH_ASSIGN_OR_RETURN(num_trees, ParseInt64(parts[1]));
+    if (num_trees < 0) return Status::InvalidArgument("negative num_trees");
   }
   for (int64_t t = 0; t < num_trees; ++t) {
     MYSAWH_ASSIGN_OR_RETURN(std::string tline, next_line());
@@ -324,9 +262,16 @@ Result<GbtModel> GbtModel::Deserialize(const std::string& text) {
     MYSAWH_RETURN_NOT_OK(rebuilt.Validate(num_features));
     model.trees_.push_back(std::move(rebuilt));
   }
+  // A tree beyond the declared count would otherwise be dropped silently.
+  while (std::getline(is, line)) {
+    if (!line.empty()) {
+      return Status::InvalidArgument("unexpected line after the last tree: " +
+                                     line);
+    }
+  }
   // Deserialized models predict through the same compiled kernel as
   // freshly trained ones (Serialize() does not carry the flat block).
-  model.CompileFlat();
+  MYSAWH_RETURN_NOT_OK(model.CompileFlat());
   return model;
 }
 

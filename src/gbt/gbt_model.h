@@ -46,7 +46,8 @@ class GbtModel : public model::Model {
   /// Trains an ensemble on `train`. If `validation` is non-null its metric
   /// is tracked per round and early stopping (if enabled in `params`)
   /// truncates the ensemble at the best round. `log`, when non-null,
-  /// receives per-round metrics.
+  /// receives per-round metrics. A training set wider than
+  /// kFlatMaxFeatures is rejected before any tree grows.
   static Result<GbtModel> Train(const Dataset& train, const GbtParams& params,
                                 const Dataset* validation = nullptr,
                                 TrainingLog* log = nullptr);
@@ -54,20 +55,14 @@ class GbtModel : public model::Model {
   /// Prediction (transformed scale: value for regression, P(y=1) for
   /// logistic) for one row of num_features() doubles; NaN = missing.
   double PredictRow(const double* row) const;
-  /// Raw margin score for one row.
+  /// Raw margin score for one row, on the calling thread.
   double PredictRowRaw(const double* row) const;
 
-  /// Batch prediction; fails when the dataset's width differs. Runs the
-  /// compiled flat-forest kernel when available (bit-identical to the
-  /// reference walker), the reference walker otherwise.
+  /// Batch prediction; fails when the dataset's width differs. Every
+  /// prediction path runs the compiled flat forest.
   Result<std::vector<double>> Predict(const Dataset& data) const;
-  /// Batch raw margins (same dispatch as Predict).
+  /// Batch raw margins.
   Result<std::vector<double>> PredictRaw(const Dataset& data) const;
-
-  /// Reference batch raw margins: the uncompiled per-row pointer walker.
-  /// Always available; the benchmark twins and equivalence tests measure
-  /// the flat kernels against it.
-  Result<std::vector<double>> PredictRawReference(const Dataset& data) const;
 
   // model::Model interface.
   std::string Kind() const override { return "gbt"; }
@@ -89,15 +84,10 @@ class GbtModel : public model::Model {
   Result<std::vector<std::vector<double>>> PredictStaged(const Dataset& data,
                                                          int stride) const;
 
-  /// The compiled flat forest, or nullptr when the ensemble's shape cannot
-  /// be compiled (see FlatForest::Compile) and every batch path falls back
-  /// to the reference walker. Train and Deserialize compile automatically.
+  /// The compiled flat forest every prediction and explanation walks.
+  /// Never null: Train and Deserialize reject a forest that does not
+  /// compile, and a default-constructed model holds the empty forest.
   const FlatForest* flat_forest() const { return flat_.get(); }
-
-  /// (Re)compiles the flat forest from the current trees. On a
-  /// FailedPrecondition shape the model keeps flat_forest() == nullptr and
-  /// counts `gbt.predict.flat_compile_fallbacks`.
-  void CompileFlat();
 
   /// FNV-1a fingerprint of Serialize(). Names the exact model in every
   /// audit-log record (core/audit_log.h); 0 only for a default-constructed
@@ -138,6 +128,10 @@ class GbtModel : public model::Model {
  private:
   friend class Trainer;
 
+  /// (Re)compiles the flat forest from the current trees; fails with
+  /// InvalidArgument on a forest the encoding cannot hold.
+  Status CompileFlat();
+
   std::vector<RegressionTree> trees_;
   std::vector<std::string> feature_names_;
   ObjectiveType objective_type_ = ObjectiveType::kSquaredError;
@@ -151,9 +145,9 @@ class GbtModel : public model::Model {
   };
   std::shared_ptr<Fingerprint> fingerprint_;
   // Compiled inference form; shared so copies of a model reuse one block.
-  // Not serialized: Serialize() stays byte-stable across this optimization
-  // and Deserialize recompiles.
-  std::shared_ptr<const FlatForest> flat_;
+  // Not serialized: Deserialize recompiles.
+  std::shared_ptr<const FlatForest> flat_ =
+      std::make_shared<const FlatForest>();
 };
 
 }  // namespace mysawh::gbt

@@ -11,15 +11,15 @@ namespace {
 constexpr int64_t kHistChunkRows = 2048;
 
 /// Accumulates rows [begin, end) of `rows` into `out` — the single
-/// cache-friendly pass: each row's `cells` are read contiguously and feed
-/// all selected features. BinT is the cell width of the binned matrix and
-/// MissingV its missing sentinel; per-feature slot base pointers are
-/// hoisted so the inner loop is load/add/store per feature.
-template <typename BinT, BinT MissingV>
-void AccumulateCells(const HistogramLayout& layout, const BinT* cells,
-                     int64_t stride, const std::vector<int64_t>& rows,
+/// cache-friendly pass: each row's byte cells are read contiguously and
+/// feed all selected features. Per-feature slot base pointers are hoisted
+/// so the inner loop is load/add/store per feature.
+void AccumulateCells(const HistogramLayout& layout, const BinnedMatrix& binned,
+                     const std::vector<int64_t>& rows,
                      const std::vector<GradientPair>& gpairs, int64_t begin,
                      int64_t end, NodeHistogram* out) {
+  const uint8_t* cells = binned.data();
+  const int64_t stride = binned.num_features();
   const int* feats = layout.features().data();
   const int nf = layout.num_features();
   HistEntry* slots = out->mutable_slots();
@@ -31,33 +31,17 @@ void AccumulateCells(const HistogramLayout& layout, const BinT* cells,
   HistEntry** base = bases.data();
   for (int64_t i = begin; i < end; ++i) {
     const int64_t r = rows[static_cast<size_t>(i)];
-    const BinT* row_bins = cells + r * stride;
+    const uint8_t* row_bins = cells + r * stride;
     const double g = gpairs[static_cast<size_t>(r)].grad;
     const double h = gpairs[static_cast<size_t>(r)].hess;
     for (int fi = 0; fi < nf; ++fi) {
-      const BinT b = row_bins[feats[fi]];
+      const uint8_t b = row_bins[feats[fi]];
       HistEntry& e =
-          b == MissingV ? miss[fi] : base[fi][static_cast<int64_t>(b)];
+          b == kMissingBin ? miss[fi] : base[fi][static_cast<int64_t>(b)];
       e.sum_g += g;
       e.sum_h += h;
       ++e.count;
     }
-  }
-}
-
-/// Width dispatch for AccumulateCells.
-void AccumulateRange(const HistogramLayout& layout, const BinnedMatrix& binned,
-                     const std::vector<int64_t>& rows,
-                     const std::vector<GradientPair>& gpairs, int64_t begin,
-                     int64_t end, NodeHistogram* out) {
-  if (binned.narrow()) {
-    AccumulateCells<uint8_t, kMissingBin8>(layout, binned.data8(),
-                                           binned.num_features(), rows,
-                                           gpairs, begin, end, out);
-  } else {
-    AccumulateCells<uint16_t, kMissingBin>(layout, binned.data16(),
-                                           binned.num_features(), rows,
-                                           gpairs, begin, end, out);
   }
 }
 
@@ -100,7 +84,7 @@ NodeHistogram BuildHistogram(const HistogramLayout& layout,
   const auto n = static_cast<int64_t>(rows.size());
   // The first chunk sums straight into the zeroed result: adding its
   // partial to zeros would give the same bits.
-  AccumulateRange(layout, binned, rows, gpairs, 0,
+  AccumulateCells(layout, binned, rows, gpairs, 0,
                   std::min(n, kHistChunkRows), &out);
   if (n <= kHistChunkRows) return out;
   NodeHistogram partial(layout);
@@ -111,7 +95,7 @@ NodeHistogram BuildHistogram(const HistogramLayout& layout,
   for (int64_t begin = kHistChunkRows; begin < n; begin += kHistChunkRows) {
     std::fill_n(ps, partial.num_slots(), HistEntry{});
     std::fill_n(pm, partial.num_miss(), HistEntry{});
-    AccumulateRange(layout, binned, rows, gpairs, begin,
+    AccumulateCells(layout, binned, rows, gpairs, begin,
                     std::min(begin + kHistChunkRows, n), &partial);
     for (int64_t i = 0; i < partial.num_slots(); ++i) {
       os[i].sum_g += ps[i].sum_g;

@@ -1,5 +1,9 @@
 #include "gbt/params.h"
 
+#include <string>
+
+#include "gbt/binning.h"
+
 namespace mysawh::gbt {
 
 Status GbtParams::Validate() const {
@@ -27,8 +31,9 @@ Status GbtParams::Validate() const {
   if (!(colsample_bytree > 0.0) || colsample_bytree > 1.0) {
     return Status::InvalidArgument("colsample_bytree must be in (0, 1]");
   }
-  if (max_bins < 2 || max_bins > 65535) {
-    return Status::InvalidArgument("max_bins must be in [2, 65535]");
+  if (max_bins < 2 || max_bins > kMaxBins) {
+    return Status::InvalidArgument("max_bins must be in [2, " +
+                                   std::to_string(kMaxBins) + "]");
   }
   if (!(scale_pos_weight > 0.0)) {
     return Status::InvalidArgument("scale_pos_weight must be > 0");

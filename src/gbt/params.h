@@ -25,7 +25,8 @@ struct GbtParams {
   double gamma = 0.0;           ///< Min loss reduction to make a split.
   double subsample = 1.0;       ///< Row subsampling per tree, (0, 1].
   double colsample_bytree = 1.0;///< Feature subsampling per tree, (0, 1].
-  int max_bins = 64;            ///< Histogram bins per feature.
+  int max_bins = 64;            ///< Histogram bins per feature, at most
+                                ///< kMaxBins (gbt/binning.h).
   /// Gradient weight multiplier for positive (label == 1) samples; > 1
   /// counteracts class imbalance in binary objectives (XGBoost's
   /// scale_pos_weight). Ignored for regression labels not equal to 1.

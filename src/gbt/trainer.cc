@@ -291,7 +291,7 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
   left_rows.reserve(rows.size());
   right_rows.reserve(rows.size());
   for (int64_t r : rows) {
-    const uint16_t b = binned_.At(r, best.feature);
+    const uint8_t b = binned_.At(r, best.feature);
     const bool go_left = b == kMissingBin ? best.default_left
                                           : static_cast<int>(b) <= best.bin;
     (go_left ? left_rows : right_rows).push_back(r);

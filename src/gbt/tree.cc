@@ -154,6 +154,11 @@ Result<TreeNode> TreeNodeFromText(const std::string& line) {
   MYSAWH_ASSIGN_OR_RETURN(int64_t left, ParseInt64(p[0]));
   MYSAWH_ASSIGN_OR_RETURN(int64_t right, ParseInt64(p[1]));
   MYSAWH_ASSIGN_OR_RETURN(int64_t feature, ParseInt64(p[2]));
+  for (const int64_t field : {left, right, feature}) {
+    if (field < INT32_MIN || field > INT32_MAX) {
+      return Status::InvalidArgument("node field outside int32: " + line);
+    }
+  }
   n.left = static_cast<int32_t>(left);
   n.right = static_cast<int32_t>(right);
   n.feature = static_cast<int32_t>(feature);

@@ -64,7 +64,7 @@ Monitor::Monitor(MonitorOptions options)
   progress_counter_names_ = {
       "gbt.predict.flat_rows", "gbt.predict.rows",
       "gbt.train.rounds_completed", "gbt.train.trees_grown",
-      "shap.batch_flat_rows", "shap.batch_rows",
+      "shap.batch_rows",
       "study.cells_computed", "study.fits_computed", "study.resume_hits",
   };
 }

@@ -8,6 +8,7 @@
 #include <limits>
 #include <vector>
 
+#include "gbt/params.h"
 #include "util/rng.h"
 
 namespace mysawh::gbt {
@@ -83,6 +84,25 @@ TEST(BinningTest, RejectsTooFewBins) {
   EXPECT_FALSE(FeatureBins::Build(ds, 1).ok());
 }
 
+TEST(BinningTest, RejectsMoreBinsThanAByteHolds) {
+  // Bins are bytes with 0xFF reserved for missing: 254 is the most a
+  // feature may have, for the parameters and both builders alike.
+  const Dataset ds = MakeOrdinalData();
+  GbtParams params;
+  params.max_bins = kMaxBins;
+  EXPECT_TRUE(params.Validate().ok());
+  EXPECT_TRUE(BuildBinned(ds, kMaxBins).ok());
+  for (const int max_bins : {255, 65535}) {
+    SCOPED_TRACE(::testing::Message() << "max_bins " << max_bins);
+    params.max_bins = max_bins;
+    EXPECT_EQ(params.Validate().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(BuildBinned(ds, max_bins).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(FeatureBins::Build(ds, max_bins).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(BinningTest, BinnedMatrixMatchesBinFor) {
   Dataset ds = Dataset::Create({"a", "b"});
   ASSERT_TRUE(ds.AddRow({1.0, 10.0}, 0.0).ok());
@@ -121,19 +141,18 @@ Dataset MakeEdgeCaseData(int64_t rows, uint64_t seed) {
 }
 
 /// BuildBinned's one-pass radix sort and interleaved search must give the
-/// cuts and cells of the two-step reference builders, bit for bit, across
-/// the narrow/wide storage switch (254 -> 255 bins) and both sides of the
-/// radix sort's 128-value fallback.
+/// cuts and cells of the two-step reference builders, bit for bit, up to
+/// the largest bin count and on both sides of the radix sort's 128-value
+/// fallback.
 TEST(BinningTest, FusedBuildMatchesReference) {
   for (const int64_t rows : {7, 129, 3000}) {
     const Dataset ds = MakeEdgeCaseData(rows, static_cast<uint64_t>(rows));
-    for (const int max_bins : {2, 16, 64, 254, 255, 1024}) {
+    for (const int max_bins : {2, 16, 64, 254}) {
       SCOPED_TRACE(::testing::Message()
                    << "rows " << rows << " max_bins " << max_bins);
       const BinnedData fused = BuildBinned(ds, max_bins).value();
       const FeatureBins bins = FeatureBins::Build(ds, max_bins).value();
       const BinnedMatrix matrix = BinnedMatrix::Build(ds, bins);
-      EXPECT_EQ(fused.matrix.narrow(), max_bins <= 254);
       ASSERT_EQ(fused.bins.num_features(), bins.num_features());
       for (int64_t f = 0; f < ds.num_features(); ++f) {
         ASSERT_EQ(fused.bins.num_bins(f), bins.num_bins(f)) << "feature " << f;
@@ -169,7 +188,7 @@ TEST_P(BinningOrderTest, BinsAreMonotoneInValue) {
 }
 
 INSTANTIATE_TEST_SUITE_P(MaxBins, BinningOrderTest,
-                         ::testing::Values(2, 4, 16, 64, 256));
+                         ::testing::Values(2, 4, 16, 64, 254));
 
 }  // namespace
 }  // namespace mysawh::gbt

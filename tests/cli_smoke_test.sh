@@ -89,6 +89,34 @@ printf 'a,b\n1,2\n3,4,5\n' > malformed.csv
 code_of "$CLI" predict --model smoke.model --data malformed.csv
 test "$code" -eq 2 || { echo "malformed csv must exit 2, got $code" >&2; exit 1; }
 
+# Header-less model text over features a..d that the compiled forest
+# cannot hold, or that contradicts itself, is rejected at load (exit 2)
+# instead of being served; the same text with zero trees predicts.
+printf 'a,b,c,d\n0.1,0.2,0.3,0.4\n' > four.csv
+model_head() {
+  printf 'mysawh-gbt v1\nobjective reg:squarederror\nbase_score 0\n'
+  printf 'best_iteration 0\nnum_features 4\nfeature a\nfeature b\nfeature c\nfeature d\n'
+}
+{ model_head; printf 'num_trees 0\n'; } > no_trees.model
+"$CLI" predict --model no_trees.model --data four.csv --out no_trees.csv > /dev/null
+{ model_head; printf 'num_trees -4\n'; } > negative_trees.model
+code_of "$CLI" predict --model negative_trees.model --data four.csv
+test "$code" -eq 2 || { echo "negative num_trees must exit 2, got $code" >&2; exit 1; }
+# 300 stumps on feature a with 300 distinct thresholds (1.0 plus t ulps):
+# more than the 254 a byte-wide bin encodes.
+{
+  model_head
+  printf 'num_trees 300\n'
+  t=0
+  while [ "$t" -lt 300 ]; do
+    printf 'tree 3\n1 2 0 %x 1 0 0 4000000000000000\n' $((0x3ff0000000000000 + t))
+    printf -- '-1 -1 -1 0 1 0 0 3ff0000000000000\n-1 -1 -1 0 1 0 0 3ff0000000000000\n'
+    t=$((t + 1))
+  done
+} > wide_thresholds.model
+code_of "$CLI" predict --model wide_thresholds.model --data four.csv
+test "$code" -eq 2 || { echo "300 thresholds on one feature must exit 2, got $code" >&2; exit 1; }
+
 # --- study checkpoint/resume ----------------------------------------------
 # Not run here (a full 12-cell study is too slow for the smoke test); the
 # resume contract is covered by tests/checkpoint_resume_test.cc, and the

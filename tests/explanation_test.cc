@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "gbt/objective.h"
+#include "reference_walkers.h"
 #include "util/rng.h"
 
 namespace mysawh::explain {
@@ -50,6 +54,43 @@ TEST(ExplanationTest, LocalExplanationRanksByMagnitude) {
   double total = explanation.expected_value;
   for (const auto& c : explanation.contributions) total += c.shap;
   EXPECT_NEAR(total, explanation.raw_prediction, 1e-6);
+}
+
+TEST(ExplanationTest, ExplainRowMatchesOracles) {
+  // A logistic model, so the prediction is a real transform of the raw
+  // margin, and missing cells in the explained rows.
+  Dataset data = MakeData(800, 9);
+  for (int64_t r = 0; r < data.num_rows(); ++r) {
+    data.set_label(r, data.label(r) > 0.0 ? 1.0 : 0.0);
+    if (r % 3 == 0) {
+      data.Set(r, r % 4, std::numeric_limits<double>::quiet_NaN());
+    }
+  }
+  GbtParams params;
+  params.objective = gbt::ObjectiveType::kLogistic;
+  params.num_trees = 40;
+  const GbtModel model = GbtModel::Train(data, params).value();
+  const TreeShap shap(&model);
+  const std::vector<double> raw = reference::ReferencePredictRaw(model, data);
+  const auto objective = gbt::MakeObjective(model.objective_type());
+  const auto& names = model.feature_names();
+  for (int64_t r = 0; r < 12; ++r) {
+    const LocalExplanation card = ExplainRow(shap, data, r).value();
+    const double* x = data.row(r);
+    const double want = raw[static_cast<size_t>(r)];
+    EXPECT_EQ(card.raw_prediction, want) << "row " << r;
+    EXPECT_EQ(card.prediction, objective->Transform(want)) << "row " << r;
+    const std::vector<double> phi = reference::ReferenceShap(model, x);
+    ASSERT_EQ(card.contributions.size(), names.size());
+    for (const FeatureContribution& c : card.contributions) {
+      const auto f = static_cast<size_t>(
+          std::find(names.begin(), names.end(), c.feature) - names.begin());
+      ASSERT_LT(f, names.size());
+      EXPECT_EQ(c.shap, phi[f]) << "row " << r << " " << c.feature;
+      EXPECT_TRUE(c.value == x[f] || (std::isnan(c.value) && std::isnan(x[f])))
+          << "row " << r << " " << c.feature;
+    }
+  }
 }
 
 TEST(ExplanationTest, TopKTruncates) {

@@ -1,9 +1,11 @@
 /// Unit tests of the compiled flat-forest inference block: exact
-/// equivalence with the reference pointer walker, the compile gates, and
-/// the reference fallback of a model whose forest does not compile.
+/// equivalence with the pointer-walker oracles on every prediction and
+/// explanation path, and the compile gates that reject a forest the
+/// encoding cannot hold.
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -12,12 +14,16 @@
 #include "explain/tree_shap.h"
 #include "gbt/flat_forest.h"
 #include "gbt/gbt_model.h"
+#include "reference_walkers.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/serialization.h"
 
 namespace mysawh::gbt {
 namespace {
+
+using reference::ReferencePredictRaw;
+using reference::ReferenceShap;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -49,8 +55,7 @@ TEST(FlatForestTest, PredictRawBitIdenticalToReferenceWalker) {
   ASSERT_NE(model.flat_forest(), nullptr);
   const Dataset probe = MakeData(257, 2, /*missing_rate=*/0.25);
   const std::vector<double> flat = model.PredictRaw(probe).value();
-  const std::vector<double> reference =
-      model.PredictRawReference(probe).value();
+  const std::vector<double> reference = ReferencePredictRaw(model, probe);
   ASSERT_EQ(flat.size(), reference.size());
   for (size_t r = 0; r < flat.size(); ++r) {
     // Bit identity, not closeness: same additions in the same order.
@@ -102,83 +107,180 @@ TEST(FlatForestTest, BinRowMatchesThresholdComparisons) {
   double nan = kNaN;
   uint8_t bin = 0;
   flat.BinRow(&nan, &bin);
-  EXPECT_EQ(bin, kFlatMissingBin);
+  EXPECT_EQ(bin, kMissingBin);
 }
 
-TEST(FlatForestTest, TooManyDistinctThresholdsFallsBackToReference) {
-  // 300 distinct split thresholds on one feature exceed the uint8 bin
-  // encoding: Compile must refuse, and a model holding the forest must
-  // keep predicting and explaining through the reference paths.
-  constexpr int kTrees = 300;
-  std::vector<RegressionTree> trees;
-  // The same forest as a loaded model file, over MakeData's four features.
+/// A depth-1 tree splitting `feature` at `threshold`, with non-dyadic leaves
+/// so that a different summation order would show.
+RegressionTree Stump(int t, int feature, double threshold) {
+  std::vector<TreeNode> nodes(3);
+  nodes[0].left = 1;
+  nodes[0].right = 2;
+  nodes[0].feature = feature;
+  nodes[0].threshold = threshold;
+  nodes[0].default_left = t % 2 == 0;
+  nodes[0].cover = 2.0;
+  nodes[1].value = -1.0 / (t + 3);
+  nodes[1].cover = 1.0;
+  nodes[2].value = 1.0 / (t + 7);
+  nodes[2].cover = 1.0;
+  return RegressionTree::FromNodes(std::move(nodes));
+}
+
+/// `trees` as a model file payload over MakeData's four features (or over
+/// `num_features` features named f0, f1, ... when given).
+std::string ModelText(const std::vector<RegressionTree>& trees,
+                      int64_t num_features = -1) {
   std::string text = "mysawh-gbt v1\nobjective ";
   text += ObjectiveTypeName(ObjectiveType::kSquaredError);
   text += "\nbase_score " + EncodeDouble(0.5) + "\nbest_iteration " +
-          std::to_string(kTrees - 1) +
-          "\nnum_features 4\nfeature a\nfeature b\nfeature c\nfeature d\n"
-          "num_trees " + std::to_string(kTrees) + "\n";
-  for (int t = 0; t < kTrees; ++t) {
-    std::vector<TreeNode> nodes(3);
-    nodes[0].left = 1;
-    nodes[0].right = 2;
-    nodes[0].feature = 0;
-    nodes[0].threshold = static_cast<double>(t) / 300.0;
-    nodes[0].default_left = t % 2 == 0;
-    nodes[0].cover = 2.0;
-    // Non-dyadic leaves, so a different summation order would show.
-    nodes[1].value = -1.0 / (t + 3);
-    nodes[1].cover = 1.0;
-    nodes[2].value = 1.0 / (t + 7);
-    nodes[2].cover = 1.0;
-    text += "tree 3\n";
-    for (const TreeNode& node : nodes) text += TreeNodeToText(node) + "\n";
-    trees.push_back(RegressionTree::FromNodes(std::move(nodes)));
+          std::to_string(static_cast<int>(trees.size()) - 1) + "\n";
+  if (num_features < 0) {
+    text += "num_features 4\nfeature a\nfeature b\nfeature c\nfeature d\n";
+  } else {
+    text += "num_features ";
+    text += std::to_string(num_features);
+    for (int64_t f = 0; f < num_features; ++f) {
+      text += "\nfeature f";
+      text += std::to_string(f);
+    }
+    text += "\n";
   }
-  const auto compiled = FlatForest::Compile(trees, 1);
+  text += "num_trees " + std::to_string(trees.size()) + "\n";
+  for (const RegressionTree& tree : trees) {
+    text += "tree " + std::to_string(tree.num_nodes()) + "\n";
+    for (int i = 0; i < tree.num_nodes(); ++i) {
+      text += TreeNodeToText(tree.node(i)) + "\n";
+    }
+  }
+  return text;
+}
+
+/// `status` is InvalidArgument and its message names every one of `words`.
+void ExpectRejected(const Status& status,
+                    const std::vector<std::string>& words) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  for (const std::string& word : words) {
+    EXPECT_NE(status.message().find(word), std::string::npos)
+        << status.ToString() << " should name " << word;
+  }
+}
+
+TEST(FlatForestTest, TooManyDistinctThresholdsIsRejected) {
+  // 300 distinct split thresholds on one feature exceed the uint8 bin
+  // encoding: Compile refuses, and so does loading a model file that holds
+  // the forest — no model is served without its compiled form.
+  std::vector<RegressionTree> trees;
+  for (int t = 0; t < 300; ++t) {
+    trees.push_back(Stump(t, 0, static_cast<double>(t) / 300.0));
+  }
+  const auto compiled = FlatForest::Compile(trees, 4);
   ASSERT_FALSE(compiled.ok());
-  EXPECT_EQ(compiled.status().code(), StatusCode::kFailedPrecondition);
+  ExpectRejected(compiled.status(), {"300", "254"});
+  const auto loaded = GbtModel::Deserialize(ModelText(trees));
+  ASSERT_FALSE(loaded.ok());
+  ExpectRejected(loaded.status(), {"300", "254"});
+}
 
-  Counter* const fallbacks = MetricsRegistry::Global().GetCounter(
-      "gbt.predict.flat_compile_fallbacks");
-  const int64_t fallbacks_before = fallbacks->Value();
-  const GbtModel model = GbtModel::Deserialize(text).value();
-  EXPECT_EQ(model.flat_forest(), nullptr);
-  EXPECT_EQ(fallbacks->Value(), fallbacks_before + 1);
+TEST(FlatForestTest, TooWideFeatureSpaceIsRejected) {
+  // Node features are int16: 32768 features cannot compile, whether the
+  // forest comes from a file or from training.
+  std::vector<RegressionTree> trees(1);
+  trees[0].mutable_node(0)->value = 0.25;
+  const auto compiled = FlatForest::Compile(trees, 32768);
+  ASSERT_FALSE(compiled.ok());
+  ExpectRejected(compiled.status(), {"32768", "32767"});
+  const auto loaded = GbtModel::Deserialize(ModelText(trees, 32768));
+  ASSERT_FALSE(loaded.ok());
+  ExpectRejected(loaded.status(), {"32768", "32767"});
 
+  std::vector<std::string> names;
+  for (int f = 0; f < 32768; ++f) {
+    std::string name = "f";
+    name += std::to_string(f);
+    names.push_back(std::move(name));
+  }
+  Dataset wide = Dataset::Create(names);
+  for (int r = 0; r < 4; ++r) {
+    ASSERT_TRUE(wide.AddRow(std::vector<double>(32768, r), r).ok());
+  }
+  Counter* const trees_grown =
+      MetricsRegistry::Global().GetCounter("gbt.train.trees_grown");
+  const int64_t grown_before = trees_grown->Value();
+  GbtParams params;
+  params.num_trees = 2;
+  const auto trained = GbtModel::Train(wide, params);
+  ASSERT_FALSE(trained.ok());
+  ExpectRejected(trained.status(), {"32768", "32767"});
+  EXPECT_EQ(trees_grown->Value(), grown_before) << "no tree may grow";
+}
+
+TEST(FlatForestTest, WideForestMatchesOraclesOnEveryPath) {
+  // 300 stumps with 150 distinct thresholds on each of two features
+  // compile, and the batch, staged, single-row and SHAP paths all return
+  // the oracles' bits. 130 probe rows fill two 64-row blocks and a partial
+  // third, with a lane tail.
+  constexpr int kTrees = 300;
+  std::vector<RegressionTree> trees;
+  for (int t = 0; t < kTrees; ++t) {
+    trees.push_back(Stump(t, t % 2, static_cast<double>(t / 2) / 150.0));
+  }
+  const GbtModel model = GbtModel::Deserialize(ModelText(trees)).value();
+  ASSERT_NE(model.flat_forest(), nullptr);
+  ASSERT_EQ(model.flat_forest()->num_trees(), kTrees);
   const Dataset probe = MakeData(130, 9, /*missing_rate=*/0.25);
+
+  const std::vector<double> reference = ReferencePredictRaw(model, probe);
   const std::vector<double> batch = model.Predict(probe).value();
-  ASSERT_EQ(batch.size(), static_cast<size_t>(probe.num_rows()));
+  ASSERT_EQ(batch.size(), reference.size());
   for (int64_t r = 0; r < probe.num_rows(); ++r) {
-    EXPECT_EQ(batch[static_cast<size_t>(r)], model.PredictRow(probe.row(r)))
-        << "row " << r;
+    const auto i = static_cast<size_t>(r);
+    EXPECT_EQ(batch[i], reference[i]) << "row " << r;
+    EXPECT_EQ(model.PredictRowRaw(probe.row(r)), reference[i]) << "row " << r;
+    EXPECT_EQ(model.PredictRow(probe.row(r)), reference[i]) << "row " << r;
   }
 
-  constexpr int kStride = 70;
-  const auto stages = model.PredictStaged(probe, kStride).value();
-  ASSERT_EQ(stages.size(),
-            static_cast<size_t>((kTrees + kStride - 1) / kStride));
+  // 70 does not divide 300, 1 writes a stage per tree, INT_MAX one stage.
   const auto objective = MakeObjective(model.objective_type());
-  for (int64_t r = 0; r < probe.num_rows(); ++r) {
-    double raw = model.base_score();
-    size_t stage = 0;
-    for (int t = 0; t < kTrees; ++t) {
-      raw += model.trees()[static_cast<size_t>(t)].Predict(probe.row(r));
-      if ((t + 1) % kStride == 0 || t + 1 == kTrees) {
-        EXPECT_EQ(stages[stage][static_cast<size_t>(r)],
-                  objective->Transform(raw))
-            << "stage " << stage << " row " << r;
-        ++stage;
+  for (const int stride : {70, 1, INT_MAX}) {
+    const auto stages = model.PredictStaged(probe, stride).value();
+    ASSERT_EQ(stages.size(), static_cast<size_t>(
+                                 (int64_t{kTrees} + stride - 1) / stride))
+        << "stride " << stride;
+    for (int64_t r = 0; r < probe.num_rows(); ++r) {
+      double raw = model.base_score();
+      size_t stage = 0;
+      for (int t = 0; t < kTrees; ++t) {
+        raw += model.trees()[static_cast<size_t>(t)].Predict(probe.row(r));
+        if ((t + 1) % stride == 0 || t + 1 == kTrees) {
+          ASSERT_EQ(stages[stage][static_cast<size_t>(r)],
+                    objective->Transform(raw))
+              << "stride " << stride << " stage " << stage << " row " << r;
+          ++stage;
+        }
       }
     }
   }
 
+  // The full probe replays pattern tables; three rows keep the per-row
+  // recursion.
   const explain::TreeShap shap(&model);
+  Counter* const table_rows =
+      MetricsRegistry::Global().GetCounter("shap.batch_table_rows");
+  const int64_t table_rows_before = table_rows->Value();
   const auto shap_batch = shap.ShapBatch(probe).value();
+  EXPECT_EQ(table_rows->Value(), table_rows_before + probe.num_rows());
+  const Dataset few = probe.Take({0, 1, 2}).value();
+  const auto few_batch = shap.ShapBatch(few).value();
+  EXPECT_EQ(table_rows->Value(), table_rows_before + probe.num_rows());
   ASSERT_EQ(shap_batch.size(), static_cast<size_t>(probe.num_rows()));
   for (int64_t r = 0; r < probe.num_rows(); ++r) {
-    EXPECT_EQ(shap_batch[static_cast<size_t>(r)], shap.Shap(probe.row(r)))
-        << "row " << r;
+    const std::vector<double> oracle = ReferenceShap(model, probe.row(r));
+    EXPECT_EQ(shap_batch[static_cast<size_t>(r)], oracle) << "row " << r;
+    EXPECT_EQ(shap.Shap(probe.row(r)), oracle) << "row " << r;
+    if (r < few.num_rows()) {
+      EXPECT_EQ(few_batch[static_cast<size_t>(r)], oracle) << "row " << r;
+    }
   }
 }
 
@@ -190,7 +292,7 @@ TEST(FlatForestTest, DeserializedModelCompilesAndMatches) {
   ASSERT_NE(restored.flat_forest(), nullptr);
   const Dataset probe = MakeData(64, 8, /*missing_rate=*/0.2);
   EXPECT_EQ(restored.PredictRaw(probe).value(),
-            model.PredictRawReference(probe).value());
+            ReferencePredictRaw(model, probe));
 }
 
 TEST(FlatForestTest, SingleLeafTreesCompile) {

@@ -15,15 +15,18 @@
 #include "core/audit_log.h"
 #include "core/drift_monitor.h"
 #include "explain/tree_shap.h"
-#include "gbt/binning.h"
 #include "gbt/gbt_model.h"
 #include "gbt/objective.h"
+#include "reference_walkers.h"
 #include "util/monitor.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace mysawh::gbt {
 namespace {
+
+using reference::ReferencePredictRaw;
+using reference::ReferenceShap;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -116,15 +119,15 @@ TEST(DeterminismTest, LiveMonitorDoesNotChangeModelOrTelemetry) {
 }
 
 TEST(DeterminismTest, FlatPredictBitIdenticalToReferenceAcrossThreadCounts) {
-  // The compiled flat-forest kernel must reproduce the reference pointer
-  // walker bit for bit — blocks write disjoint slots and every row sums
+  // The compiled flat-forest kernel must reproduce the pointer-walker
+  // oracle bit for bit — blocks write disjoint slots and every row sums
   // its trees in ascending order, so the worker count must not matter.
   const Dataset train = MakeData(1500);
   const Dataset probe = MakeData(333);
   const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   ASSERT_NE(model.flat_forest(), nullptr);
   const std::vector<double> reference =
-      model.PredictRawReference(probe).value();
+      ReferencePredictRaw(model, probe);
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
     std::vector<double> flat(static_cast<size_t>(probe.num_rows()));
@@ -170,10 +173,10 @@ TEST(DeterminismTest, FlatStagedPredictionsMatchReferenceWalker) {
 }
 
 TEST(DeterminismTest, FlatShapBitIdenticalToReferenceAcrossThreadCounts) {
-  // The flat TreeSHAP recursion mirrors the reference recursion operand
-  // for operand (precomputed cover fractions divide the same values the
-  // reference divides per visit), so attributions are bit-identical for
-  // any worker count.
+  // The flat TreeSHAP recursion mirrors the pointer recursion of the oracle
+  // operand for operand (precomputed cover fractions divide the same
+  // values the oracle divides per visit), so attributions are
+  // bit-identical for any worker count.
   const Dataset train = MakeData(1000);
   const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   ASSERT_NE(model.flat_forest(), nullptr);
@@ -183,7 +186,10 @@ TEST(DeterminismTest, FlatShapBitIdenticalToReferenceAcrossThreadCounts) {
   // must match the reference exactly.
   for (int64_t rows : {12, 300}) {
     const Dataset probe = MakeData(rows);
-    const auto reference = shap.ShapBatchReference(probe).value();
+    std::vector<std::vector<double>> reference;
+    for (int64_t r = 0; r < probe.num_rows(); ++r) {
+      reference.push_back(ReferenceShap(model, probe.row(r)));
+    }
     for (int threads : {1, 2, 8}) {
       ThreadPool pool(threads);
       const auto flat = shap.ShapBatch(probe, &pool).value();
@@ -339,18 +345,6 @@ TEST(DeterminismTest, FastSplitPathMatchesGenericPath) {
     SCOPED_TRACE("Likert features, logistic objective");
     ExpectZeroConstraintsMatchNone(MakeLikertData(1200, /*binary=*/true),
                              PaperParams(true, ObjectiveType::kLogistic));
-  }
-  {
-    // 1500 distinct values under max_bins 1024: the continuous features
-    // get more than 256 bins, the width the scan once handed to a
-    // separate scalar loop.
-    SCOPED_TRACE("more than 256 bins");
-    const Dataset wide = MakeData(1500);
-    const BinnedData binned = BuildBinned(wide, 1024).value();
-    ASSERT_GT(binned.bins.num_bins(0), 256);
-    GbtParams params = BaseParams();
-    params.max_bins = 1024;
-    ExpectZeroConstraintsMatchNone(wide, params);
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "core/audit_log.h"
 #include "util/rng.h"
+#include "util/serialization.h"
 #include "util/string_util.h"
 
 namespace mysawh::gbt {
@@ -219,6 +220,60 @@ TEST(GbtModelTest, DeserializeRejectsOutOfWidthSplitFeature) {
   }
   ASSERT_TRUE(tampered);
   EXPECT_FALSE(GbtModel::Deserialize(os.str()).ok());
+}
+
+/// A header-less payload over features x0 and x1 whose tree section is
+/// `trees`: a "num_trees" line and the tree blocks.
+std::string PayloadWithTrees(const std::string& trees) {
+  return "mysawh-gbt v1\nobjective reg:squarederror\nbase_score " +
+         EncodeDouble(0.0) +
+         "\nbest_iteration 0\nnum_features 2\nfeature x0\nfeature x1\n" +
+         trees;
+}
+
+/// A single-leaf tree block.
+std::string LeafTree(double value) {
+  TreeNode leaf;
+  leaf.value = value;
+  leaf.cover = 1.0;
+  return "tree 1\n" + TreeNodeToText(leaf) + "\n";
+}
+
+/// A stump block splitting feature x0 at 0.5, with the root's left child
+/// and feature fields spelled as given.
+std::string StumpTree(const std::string& left, const std::string& feature) {
+  TreeNode leaf;
+  leaf.cover = 1.0;
+  return "tree 3\n" + left + " 2 " + feature + " " + EncodeDouble(0.5) +
+         " 1 0 0 " + EncodeDouble(2.0) + "\n" + TreeNodeToText(leaf) + "\n" +
+         TreeNodeToText(leaf) + "\n";
+}
+
+TEST(GbtModelTest, DeserializeRejectsSelfContradictoryText) {
+  // Each well-formed twin loads; each contradiction is InvalidArgument
+  // instead of a silently different forest.
+  ASSERT_TRUE(GbtModel::Deserialize(PayloadWithTrees("num_trees 0\n")).ok());
+  const auto negative =
+      GbtModel::Deserialize(PayloadWithTrees("num_trees -4\n"));
+  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+
+  const std::string two_trees = LeafTree(1.0) + LeafTree(2.0);
+  const GbtModel both =
+      GbtModel::Deserialize(PayloadWithTrees("num_trees 2\n" + two_trees))
+          .value();
+  const double row[] = {0.0, 0.0};
+  EXPECT_EQ(both.PredictRowRaw(row), 3.0);
+  const auto undercounted =
+      GbtModel::Deserialize(PayloadWithTrees("num_trees 1\n" + two_trees));
+  EXPECT_EQ(undercounted.status().code(), StatusCode::kInvalidArgument);
+
+  ASSERT_TRUE(GbtModel::Deserialize(
+                  PayloadWithTrees("num_trees 1\n" + StumpTree("1", "0")))
+                  .ok());
+  // 4294967297 and 4294967296 would wrap to the valid 1 and 0 in int32.
+  const auto wrapped = GbtModel::Deserialize(PayloadWithTrees(
+      "num_trees 1\n" + StumpTree("4294967297", "4294967296")));
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(GbtModelTest, GainImportanceIdentifiesSignalFeature) {

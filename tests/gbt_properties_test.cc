@@ -6,10 +6,13 @@
 #include <limits>
 
 #include "gbt/gbt_model.h"
+#include "reference_walkers.h"
 #include "util/rng.h"
 
 namespace mysawh::gbt {
 namespace {
+
+using reference::ReferencePredictRaw;
 
 Dataset MakeData(int64_t n, uint64_t seed) {
   Rng rng(seed);
@@ -113,7 +116,7 @@ TEST(GbtInvarianceTest, DuplicatedRowsScaleInvariance) {
 
 TEST(GbtPropertiesTest, FlatForestEquivalentToReferenceOverRandomForests) {
   // Property: for any trained forest (varying shapes, missing values in
-  // the probe), the compiled flat kernel and the reference pointer walker
+  // the probe), the compiled flat kernel and the pointer-walker oracle
   // return the SAME doubles — bit-identical, not merely close.
   for (uint64_t seed = 100; seed < 106; ++seed) {
     Rng rng(seed);
@@ -144,7 +147,7 @@ TEST(GbtPropertiesTest, FlatForestEquivalentToReferenceOverRandomForests) {
     }
     const std::vector<double> flat = model.PredictRaw(probe).value();
     const std::vector<double> reference =
-        model.PredictRawReference(probe).value();
+        ReferencePredictRaw(model, probe);
     ASSERT_EQ(flat.size(), reference.size());
     for (size_t r = 0; r < flat.size(); ++r) {
       EXPECT_EQ(flat[r], reference[r]) << "seed " << seed << " row " << r;

@@ -38,7 +38,7 @@ TEST(TrainerSplitTest, FindsTheStepBoundary) {
   params.max_depth = 1;
   params.learning_rate = 1.0;
   params.reg_lambda = 0.0;
-  params.max_bins = 256;
+  params.max_bins = 254;
   const GbtModel model = GbtModel::Train(train, params).value();
   ASSERT_EQ(model.trees().size(), 1u);
   const RegressionTree& tree = model.trees()[0];
@@ -420,7 +420,7 @@ TEST(TrainerTest, L2ShrinksLeafValues) {
   params.max_depth = 1;
   params.learning_rate = 1.0;
   params.reg_lambda = 50.0;  // 50 rows per leaf -> weight halves
-  params.max_bins = 256;     // one bin per value: an exact 50/50 split
+  params.max_bins = 254;     // one bin per value: an exact 50/50 split
   const GbtModel model = GbtModel::Train(train, params).value();
   const RegressionTree& tree = model.trees()[0];
   ASSERT_EQ(tree.num_nodes(), 3);

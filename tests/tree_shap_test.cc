@@ -7,6 +7,8 @@
 #include <numeric>
 
 #include "gbt/gbt_model.h"
+#include "reference_walkers.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace mysawh::explain {
@@ -15,6 +17,8 @@ namespace {
 using gbt::GbtModel;
 using gbt::GbtParams;
 using gbt::ObjectiveType;
+using reference::BruteForceShap;
+using reference::ReferenceShap;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -171,7 +175,9 @@ TEST(TreeShapTest, ShapBatchMatchesPerRow) {
   const auto batch = shap.ShapBatch(probe).value();
   ASSERT_EQ(batch.size(), 10u);
   for (int64_t r = 0; r < probe.num_rows(); ++r) {
-    EXPECT_EQ(batch[static_cast<size_t>(r)], shap.Shap(probe.row(r)));
+    const std::vector<double> oracle = ReferenceShap(model, probe.row(r));
+    EXPECT_EQ(batch[static_cast<size_t>(r)], oracle);
+    EXPECT_EQ(shap.Shap(probe.row(r)), oracle);
   }
 }
 
@@ -192,7 +198,58 @@ TEST(TreeShapTest, ShapBatchPatternTablesMatchPerRow) {
   const auto batch = shap.ShapBatch(probe).value();
   ASSERT_EQ(batch.size(), 256u);
   for (int64_t r = 0; r < probe.num_rows(); ++r) {
-    EXPECT_EQ(batch[static_cast<size_t>(r)], shap.Shap(probe.row(r)));
+    EXPECT_EQ(batch[static_cast<size_t>(r)],
+              ReferenceShap(model, probe.row(r)));
+  }
+}
+
+/// Exact Shapley values by enumerating every feature subset of the
+/// path-dependent value function (tests/reference_walkers.h): the single-row
+/// recursion and both batch strategies must agree with it to rounding, on
+/// deep trees with missing values.
+TEST(TreeShapTest, MatchesBruteForceShapley) {
+  Counter* const table_rows =
+      MetricsRegistry::Global().GetCounter("shap.batch_table_rows");
+  for (const int64_t num_features : {3, 5, 8}) {
+    SCOPED_TRACE(::testing::Message() << num_features << " features");
+    const Dataset train =
+        MakeData(600, num_features, 40 + num_features, /*missing_prob=*/0.1);
+    GbtParams params;
+    params.num_trees = 30;
+    params.max_depth = 5;
+    const GbtModel model = GbtModel::Train(train, params).value();
+    const TreeShap shap(&model);
+    const Dataset probe =
+        MakeData(10, num_features, 50 + num_features, /*missing_prob=*/0.1);
+    // Each probe row 20 times over: enough rows for the pattern tables.
+    std::vector<int64_t> repeated;
+    for (int copy = 0; copy < 20; ++copy) {
+      for (int64_t r = 0; r < probe.num_rows(); ++r) repeated.push_back(r);
+    }
+    const Dataset many = probe.Take(repeated).value();
+
+    const int64_t tables_before = table_rows->Value();
+    const auto per_row = shap.ShapBatch(probe).value();
+    ASSERT_EQ(table_rows->Value(), tables_before) << "per-row strategy";
+    const auto tabled = shap.ShapBatch(many).value();
+    ASSERT_EQ(table_rows->Value(), tables_before + many.num_rows())
+        << "pattern-table strategy";
+
+    for (int64_t r = 0; r < probe.num_rows(); ++r) {
+      const std::vector<double> exact = BruteForceShap(model, probe.row(r));
+      const std::vector<double> single = shap.Shap(probe.row(r));
+      for (int64_t f = 0; f < num_features; ++f) {
+        const auto i = static_cast<size_t>(f);
+        EXPECT_NEAR(single[i], exact[i], 1e-12) << "row " << r << " f " << f;
+        EXPECT_NEAR(per_row[static_cast<size_t>(r)][i], exact[i], 1e-12)
+            << "row " << r << " f " << f;
+        for (size_t copy = static_cast<size_t>(r); copy < tabled.size();
+             copy += static_cast<size_t>(probe.num_rows())) {
+          EXPECT_NEAR(tabled[copy][i], exact[i], 1e-12)
+              << "row " << r << " f " << f;
+        }
+      }
+    }
   }
 }
 
