@@ -10,7 +10,6 @@
 #include "util/metrics.h"
 #include "util/serialization.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace mysawh::gbt {
@@ -82,9 +81,7 @@ Result<std::vector<double>> GbtModel::PredictRaw(const Dataset& data) const {
 Result<std::vector<double>> GbtModel::Predict(const Dataset& data) const {
   MYSAWH_ASSIGN_OR_RETURN(std::vector<double> raw, PredictRaw(data));
   const auto objective = MakeObjective(objective_type_);
-  DefaultPool().ParallelFor(static_cast<int64_t>(raw.size()), [&](int64_t i) {
-    raw[static_cast<size_t>(i)] = objective->Transform(raw[static_cast<size_t>(i)]);
-  });
+  for (double& v : raw) v = objective->Transform(v);
   // Model-quality observability hooks: one relaxed load each when
   // disarmed, and always on the calling thread after the parallel loops,
   // so observation can never change what was computed.

@@ -10,42 +10,79 @@ namespace {
 /// Rows per chunk of the pinned summation order (see BuildHistogram).
 constexpr int64_t kHistChunkRows = 2048;
 
-/// Accumulates rows [begin, end) of `rows` into `out` — the single
-/// cache-friendly pass: each row's byte cells are read contiguously and
-/// feed all selected features. Per-feature slot base pointers are hoisted
-/// so the inner loop is load/add/store per feature.
-void AccumulateCells(const HistogramLayout& layout, const BinnedMatrix& binned,
-                     const std::vector<int64_t>& rows,
-                     const std::vector<GradientPair>& gpairs, int64_t begin,
-                     int64_t end, NodeHistogram* out) {
+/// A histogram slot as one 4-wide vector: {g, h, count, pad}.
+using Slot4 = double __attribute__((vector_size(32), may_alias));
+
+Slot4& AsVector(HistEntry& e) { return *reinterpret_cast<Slot4*>(&e); }
+const Slot4& AsVector(const HistEntry& e) {
+  return *reinterpret_cast<const Slot4*>(&e);
+}
+
+/// Sets `entries` (the layout's slots, then its miss slots) to the sums of
+/// `rows`: the single cache-friendly pass. Each row's byte cells are read
+/// contiguously and feed all selected features, four features per step,
+/// and each cell's slot adds {g, h, 1, 0} in one vector add, so every slot
+/// takes its rows in order. Compiled for the baseline target and for AVX2,
+/// where the add is one instruction; lanes never mix, so both builds give
+/// the same bits.
+[[gnu::always_inline]] inline void AccumulateCells(
+    const HistogramLayout& layout, const BinnedMatrix& binned,
+    std::span<const int64_t> rows, const std::vector<GradientPair>& gpairs,
+    HistEntry* entries) {
   const uint8_t* cells = binned.data();
   const int64_t stride = binned.num_features();
   const int* feats = layout.features().data();
   const int nf = layout.num_features();
-  HistEntry* slots = out->mutable_slots();
-  HistEntry* miss = out->mutable_miss();
-  std::vector<HistEntry*> bases(static_cast<size_t>(nf));
-  for (int fi = 0; fi < nf; ++fi) {
-    bases[static_cast<size_t>(fi)] = slots + layout.offset(fi);
-  }
-  HistEntry** base = bases.data();
-  for (int64_t i = begin; i < end; ++i) {
-    const int64_t r = rows[static_cast<size_t>(i)];
+  const int64_t num_slots = layout.num_slots();
+  std::fill_n(entries, num_slots + nf, HistEntry{});
+  const auto slot = [&](const uint8_t* row_bins, int fi) {
+    const uint8_t b = row_bins[feats[fi]];
+    return b == kMissingBin ? entries + num_slots + fi
+                            : entries + layout.offset(fi) + b;
+  };
+  for (const int64_t r : rows) {
     const uint8_t* row_bins = cells + r * stride;
-    const double g = gpairs[static_cast<size_t>(r)].grad;
-    const double h = gpairs[static_cast<size_t>(r)].hess;
-    for (int fi = 0; fi < nf; ++fi) {
-      const uint8_t b = row_bins[feats[fi]];
-      HistEntry& e =
-          b == kMissingBin ? miss[fi] : base[fi][static_cast<int64_t>(b)];
-      e.sum_g += g;
-      e.sum_h += h;
-      ++e.count;
+    const GradientPair& gp = gpairs[static_cast<size_t>(r)];
+    const Slot4 v = {gp.grad, gp.hess, 1.0, 0.0};
+    int fi = 0;
+    // Distinct features never share a slot, so four slots can be read,
+    // added and written back as a group.
+    for (; fi + 4 <= nf; fi += 4) {
+      Slot4* e[4];
+      Slot4 sum[4];
+      for (int j = 0; j < 4; ++j) e[j] = &AsVector(*slot(row_bins, fi + j));
+      for (int j = 0; j < 4; ++j) sum[j] = *e[j] + v;
+      for (int j = 0; j < 4; ++j) *e[j] = sum[j];
     }
+    for (; fi < nf; ++fi) AsVector(*slot(row_bins, fi)) += v;
   }
 }
 
+[[gnu::target("avx2")]] void AccumulateAvx2(
+    const HistogramLayout& layout, const BinnedMatrix& binned,
+    std::span<const int64_t> rows, const std::vector<GradientPair>& gpairs,
+    HistEntry* entries) {
+  AccumulateCells(layout, binned, rows, gpairs, entries);
+}
+
+/// out[i] -= in[i] for n slots, one vector subtract each.
+[[gnu::always_inline]] inline void SubtractSlots(HistEntry* out,
+                                                 const HistEntry* in,
+                                                 size_t n) {
+  for (size_t i = 0; i < n; ++i) AsVector(out[i]) -= AsVector(in[i]);
+}
+
+[[gnu::target("avx2")]] void SubtractAvx2(HistEntry* out, const HistEntry* in,
+                                          size_t n) {
+  SubtractSlots(out, in, n);
+}
+
 }  // namespace
+
+bool CpuHasAvx2() {
+  static const bool has_avx2 = __builtin_cpu_supports("avx2");
+  return has_avx2;
+}
 
 HistogramLayout::HistogramLayout(const FeatureBins& bins,
                                  std::vector<int> features)
@@ -57,55 +94,36 @@ HistogramLayout::HistogramLayout(const FeatureBins& bins,
   }
 }
 
-NodeHistogram NodeHistogram::Subtract(NodeHistogram parent,
-                                      const NodeHistogram& child) {
-  HistEntry* ps = parent.mutable_slots();
-  const HistEntry* cs = child.slots_.data();
-  for (int64_t i = 0; i < parent.num_slots(); ++i) {
-    ps[i].sum_g -= cs[i].sum_g;
-    ps[i].sum_h -= cs[i].sum_h;
-    ps[i].count -= cs[i].count;
-  }
-  HistEntry* pm = parent.mutable_miss();
-  const HistEntry* cm = child.miss_.data();
-  for (int64_t i = 0; i < parent.num_miss(); ++i) {
-    pm[i].sum_g -= cm[i].sum_g;
-    pm[i].sum_h -= cm[i].sum_h;
-    pm[i].count -= cm[i].count;
-  }
-  return parent;
+void NodeHistogram::Subtract(const NodeHistogram& child) {
+  (CpuHasAvx2() ? SubtractAvx2 : SubtractSlots)(
+      entries_.data(), child.entries_.data(), entries_.size());
 }
 
 NodeHistogram BuildHistogram(const HistogramLayout& layout,
                              const BinnedMatrix& binned,
-                             const std::vector<int64_t>& rows,
-                             const std::vector<GradientPair>& gpairs) {
-  NodeHistogram out(layout);
+                             std::span<const int64_t> rows,
+                             const std::vector<GradientPair>& gpairs,
+                             NodeHistogram storage) {
+  NodeHistogram out = std::move(storage);
+  const auto size =
+      static_cast<size_t>(layout.num_slots() + layout.num_features());
+  out.entries_.resize(size);
+  out.num_slots_ = layout.num_slots();
+  const auto accumulate = CpuHasAvx2() ? AccumulateAvx2 : AccumulateCells;
   const auto n = static_cast<int64_t>(rows.size());
-  // The first chunk sums straight into the zeroed result: adding its
-  // partial to zeros would give the same bits.
-  AccumulateCells(layout, binned, rows, gpairs, 0,
-                  std::min(n, kHistChunkRows), &out);
+  // The first chunk sums straight into the result: adding its partial to
+  // zeros would give the same bits.
+  accumulate(layout, binned, rows.first(std::min(n, kHistChunkRows)), gpairs,
+             out.entries_.data());
   if (n <= kHistChunkRows) return out;
-  NodeHistogram partial(layout);
-  HistEntry* ps = partial.mutable_slots();
-  HistEntry* pm = partial.mutable_miss();
-  HistEntry* os = out.mutable_slots();
-  HistEntry* om = out.mutable_miss();
+  thread_local std::vector<HistEntry> partial;
+  partial.resize(size);
   for (int64_t begin = kHistChunkRows; begin < n; begin += kHistChunkRows) {
-    std::fill_n(ps, partial.num_slots(), HistEntry{});
-    std::fill_n(pm, partial.num_miss(), HistEntry{});
-    AccumulateCells(layout, binned, rows, gpairs, begin,
-                    std::min(begin + kHistChunkRows, n), &partial);
-    for (int64_t i = 0; i < partial.num_slots(); ++i) {
-      os[i].sum_g += ps[i].sum_g;
-      os[i].sum_h += ps[i].sum_h;
-      os[i].count += ps[i].count;
-    }
-    for (int64_t i = 0; i < partial.num_miss(); ++i) {
-      om[i].sum_g += pm[i].sum_g;
-      om[i].sum_h += pm[i].sum_h;
-      om[i].count += pm[i].count;
+    accumulate(layout, binned,
+               rows.subspan(begin, std::min(kHistChunkRows, n - begin)),
+               gpairs, partial.data());
+    for (size_t i = 0; i < size; ++i) {
+      AsVector(out.entries_[i]) += AsVector(partial[i]);
     }
   }
   return out;

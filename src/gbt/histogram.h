@@ -2,6 +2,7 @@
 #define MYSAWH_GBT_HISTOGRAM_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gbt/binning.h"
@@ -10,11 +11,13 @@
 namespace mysawh::gbt {
 
 /// Accumulated gradient statistics of one histogram slot (one bin of one
-/// feature, or one feature's missing-value bucket).
-struct HistEntry {
+/// feature, or one feature's missing-value bucket). Four doubles, so one
+/// 4-wide add updates a slot; the row count is exact below 2^53.
+struct alignas(32) HistEntry {
   double sum_g = 0.0;
   double sum_h = 0.0;
-  int64_t count = 0;
+  double count = 0.0;
+  double pad = 0.0;  ///< Always 0: fills the slot to 32 bytes.
 };
 
 /// Slot layout of a per-node histogram over a (possibly column-subsampled)
@@ -46,47 +49,49 @@ class HistogramLayout {
   std::vector<int64_t> offsets_;  // size features_.size() + 1
 };
 
-/// One node's gradient histogram in a given layout.
+/// One node's gradient histogram in a given layout: every selected feature's
+/// bin slots, then one missing-value slot per feature, in one buffer.
 class NodeHistogram {
  public:
-  NodeHistogram() = default;
-  explicit NodeHistogram(const HistogramLayout& layout)
-      : slots_(static_cast<size_t>(layout.num_slots())),
-        miss_(static_cast<size_t>(layout.num_features())) {}
-
-  bool empty() const { return slots_.empty() && miss_.empty(); }
+  bool empty() const { return entries_.empty(); }
 
   /// Bin slots of the i-th selected feature (layout.num_bins(i) entries).
   const HistEntry* feature_slots(const HistogramLayout& layout, int i) const {
-    return slots_.data() + layout.offset(i);
+    return entries_.data() + layout.offset(i);
   }
   /// Missing-value bucket of the i-th selected feature.
   const HistEntry& miss(int i) const {
-    return miss_[static_cast<size_t>(i)];
+    return entries_[static_cast<size_t>(num_slots_ + i)];
   }
 
-  HistEntry* mutable_slots() { return slots_.data(); }
-  HistEntry* mutable_miss() { return miss_.data(); }
-  const HistEntry* slots_data() const { return slots_.data(); }
-  const HistEntry* miss_data() const { return miss_.data(); }
-  int64_t num_slots() const { return static_cast<int64_t>(slots_.size()); }
-  int64_t num_miss() const { return static_cast<int64_t>(miss_.size()); }
+  const HistEntry* slots_data() const { return entries_.data(); }
+  const HistEntry* miss_data() const { return entries_.data() + num_slots_; }
+  int64_t num_slots() const { return num_slots_; }
+  int64_t num_miss() const { return std::ssize(entries_) - num_slots_; }
 
-  /// The sibling-subtraction trick: consumes a parent histogram and returns
+  /// The sibling-subtraction trick, in place: the parent's histogram becomes
   /// `parent - child` slot-wise, so the larger sibling costs O(slots)
   /// instead of a pass over its rows. Both must share one layout.
-  static NodeHistogram Subtract(NodeHistogram parent,
-                                const NodeHistogram& child);
+  void Subtract(const NodeHistogram& child);
 
  private:
-  std::vector<HistEntry> slots_;
-  std::vector<HistEntry> miss_;
+  friend NodeHistogram BuildHistogram(const HistogramLayout& layout,
+                                      const BinnedMatrix& binned,
+                                      std::span<const int64_t> rows,
+                                      const std::vector<GradientPair>& gpairs,
+                                      NodeHistogram storage);
+  std::vector<HistEntry> entries_;  // slots, then one miss slot per feature
+  int64_t num_slots_ = 0;
 };
+
+/// Whether the CPU runs the AVX2 builds of the histogram and split kernels.
+bool CpuHasAvx2();
 
 /// Accumulates the histogram of `rows` for every feature in `layout` with a
 /// single row-major pass: each row's bins (contiguous in the row-major
 /// BinnedMatrix) feed every selected feature's histogram at once, instead
-/// of rescanning the node once per feature.
+/// of rescanning the node once per feature. The result reuses the buffer
+/// of `storage`, a histogram the caller no longer needs.
 ///
 /// Rows are summed in fixed 2048-row chunks, each into a zeroed partial,
 /// and the partials are added in ascending chunk order. That association
@@ -94,8 +99,9 @@ class NodeHistogram {
 /// than one chunk of rows (HistogramTest.ChunkAssociationIsPinned).
 NodeHistogram BuildHistogram(const HistogramLayout& layout,
                              const BinnedMatrix& binned,
-                             const std::vector<int64_t>& rows,
-                             const std::vector<GradientPair>& gpairs);
+                             std::span<const int64_t> rows,
+                             const std::vector<GradientPair>& gpairs,
+                             NodeHistogram storage = NodeHistogram());
 
 }  // namespace mysawh::gbt
 

@@ -15,8 +15,24 @@ double ClampProbability(double p) {
   return std::min(1.0 - 1e-15, std::max(1e-15, p));
 }
 
+/// The gradient loop of each objective: `Derived` is final, so its
+/// ComputeGradient resolves statically and the loop makes no virtual call
+/// per row.
+template <typename Derived>
+class GradientLoop : public Objective {
+ public:
+  void ComputeGradients(const std::vector<double>& labels,
+                        const std::vector<double>& raw,
+                        GradientPair* out) const final {
+    const auto& self = static_cast<const Derived&>(*this);
+    for (size_t i = 0; i < labels.size(); ++i) {
+      out[i] = self.Derived::ComputeGradient(labels[i], raw[i]);
+    }
+  }
+};
+
 /// Mean squared error objective: L = 0.5 (y - f)^2.
-class SquaredErrorObjective final : public Objective {
+class SquaredErrorObjective final : public GradientLoop<SquaredErrorObjective> {
  public:
   GradientPair ComputeGradient(double label, double raw) const override {
     return {raw - label, 1.0};
@@ -44,7 +60,7 @@ class SquaredErrorObjective final : public Objective {
 };
 
 /// Binary logistic loss on raw margins; outputs probabilities.
-class LogisticObjective final : public Objective {
+class LogisticObjective final : public GradientLoop<LogisticObjective> {
  public:
   GradientPair ComputeGradient(double label, double raw) const override {
     const double p = Sigmoid(raw);
@@ -79,7 +95,7 @@ class LogisticObjective final : public Objective {
 };
 
 /// Pseudo-Huber loss with delta = 1: smooth near 0, linear in the tails.
-class PseudoHuberObjective final : public Objective {
+class PseudoHuberObjective final : public GradientLoop<PseudoHuberObjective> {
  public:
   GradientPair ComputeGradient(double label, double raw) const override {
     const double r = raw - label;
@@ -110,7 +126,7 @@ class PseudoHuberObjective final : public Objective {
 };
 
 /// Poisson deviance with log link: raw score is log-mean.
-class PoissonObjective final : public Objective {
+class PoissonObjective final : public GradientLoop<PoissonObjective> {
  public:
   GradientPair ComputeGradient(double label, double raw) const override {
     const double mu = std::exp(std::min(raw, 30.0));  // overflow guard

@@ -40,6 +40,12 @@ class Objective {
   /// Loss derivatives at one sample.
   virtual GradientPair ComputeGradient(double label, double raw) const = 0;
 
+  /// ComputeGradient of every sample into `out` (labels.size() pairs): a
+  /// boosting round's gradients in one call.
+  virtual void ComputeGradients(const std::vector<double>& labels,
+                                const std::vector<double>& raw,
+                                GradientPair* out) const = 0;
+
   /// Maps a raw margin score to the prediction scale.
   virtual double Transform(double raw) const { return raw; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -47,6 +48,11 @@ double ThresholdL1(double g, double alpha) {
   return 0.0;
 }
 
+/// The unshrunk leaf weight of gradient sums (G, H).
+double LeafWeight(const GbtParams& params, double g, double h) {
+  return -ThresholdL1(g, params.reg_alpha) / (h + params.reg_lambda);
+}
+
 }  // namespace
 
 Trainer::Trainer(const Dataset& train, const GbtParams& params)
@@ -55,309 +61,348 @@ Trainer::Trainer(const Dataset& train, const GbtParams& params)
       objective_(MakeObjective(params.objective)),
       rng_(params.seed) {}
 
-double Trainer::LeafWeight(double g, double h) const {
-  return -ThresholdL1(g, params_.reg_alpha) / (h + params_.reg_lambda);
-}
-
-int Trainer::ConstraintOf(int feature) const {
-  if (params_.monotone_constraints.empty()) return 0;
-  return params_.monotone_constraints[static_cast<size_t>(feature)];
-}
-
 namespace {
 
-/// Per-thread arrays of the boundary scan, grown to the widest feature seen
-/// and reused, so a scan allocates nothing after warm-up.
-struct BoundaryScratch {
-  std::vector<double> pg, ph, pc, gain_l, gain_r;
-  std::vector<int> bin;
+// The split scan is written once with GCC vector extensions and compiled
+// with 2 lanes for the baseline target and 4 for AVX2. Each lane computes
+// one candidate with the scalar expression and lanes never mix, so both
+// builds give the scalar bits. No helper passes a vector by value: the
+// baseline ABI would differ.
+using V2 = double __attribute__((vector_size(16)));
+using V4 = double __attribute__((vector_size(32)));
 
-  void Reserve(int n) {
-    const auto size = static_cast<size_t>(n);
-    if (bin.size() >= size) return;
-    for (auto* v : {&pg, &ph, &pc, &gain_l, &gain_r}) v->resize(size);
-    bin.resize(size);
-  }
-};
-
-}  // namespace
-
-Trainer::SplitCandidate Trainer::FindSplit(int feature_pos,
-                                           const HistogramLayout& layout,
-                                           const NodeHistogram& hist,
-                                           const NodeStats& parent,
-                                           const NodeBounds& bounds) const {
-  const int feature = layout.features()[static_cast<size_t>(feature_pos)];
-  const int nb = layout.num_bins(feature_pos);
-  SplitCandidate best;
-  if (nb < 2) return best;
-  const HistEntry* slots = hist.feature_slots(layout, feature_pos);
-  const HistEntry& miss = hist.miss(feature_pos);
-  const int64_t present = parent.count - miss.count;
-  const double alpha = params_.reg_alpha;
-  const double lambda = params_.reg_lambda;
-  const double gamma = params_.gamma;
-  const int64_t msl = params_.min_samples_leaf;
-  const double mcw = params_.min_child_weight;
-  // The soft-thresholded score T_alpha(G)^2 / (H + lambda), inlined so the
-  // loop body is just adds, compares, and the two divisions.
-  const auto score = [alpha, lambda](double g, double h) {
-    const double t = g > alpha ? g - alpha : (g < -alpha ? g + alpha : 0.0);
-    return t * t / (h + lambda);
+template <typename V>
+[[gnu::always_inline]] inline SplitCandidate ScanNode(
+    const GbtParams& params, const FeatureBins& bins,
+    const HistogramLayout& layout, const NodeHistogram& hist,
+    const SplitNode& node) {
+  using M = decltype(V{} < V{});
+  constexpr int kLanes = sizeof(V) / sizeof(double);
+  const double alpha = params.reg_alpha;
+  const double lambda = params.reg_lambda;
+  const double gamma = params.gamma;
+  const double msl = static_cast<double>(params.min_samples_leaf);
+  const double mcw = params.min_child_weight;
+  const V zero = {};
+  const V neg_inf = zero - std::numeric_limits<double>::infinity();
+  V lane = zero;
+  for (int j = 0; j < kLanes; ++j) lane[j] = j;
+  // T_alpha(G), its score T^2 / (H + lambda), lane by lane.
+  const auto soft = [&](const V& g, V* t) {
+    *t = g > alpha ? g - alpha : (g < -alpha ? g + alpha : zero);
   };
-  const double parent_score = score(parent.sum_g, parent.sum_h);
-  // Present-value right side = (parent - missing) - left.
-  const double gsub = parent.sum_g - miss.sum_g;
-  const double hsub = parent.sum_h - miss.sum_h;
-  // With no missing mass the two default directions score identically and
-  // missing-left wins the tie-break, so the second direction is skipped.
-  const bool no_miss =
-      miss.count == 0 && miss.sum_g == 0.0 && miss.sum_h == 0.0;
-  // Prefix pass with compaction. Every slot is accumulated — subtraction
-  // can leave count-0 slots with nonzero sums — but only occupied
-  // boundaries are kept: an empty bin repeats its predecessor's partition.
-  // Each slot writes position `m` unconditionally and advances it only when
-  // occupied, so the compaction needs no branch. Once every present row is
-  // on the left, the remaining slots are empty and the pass stops. Counts
-  // are carried as doubles (exact for any realistic row count) to keep the
-  // gain loops in one vectorizable domain.
-  const int nbound = nb - 1;
-  thread_local BoundaryScratch scratch;
-  scratch.Reserve(nbound);
-  double* pg = scratch.pg.data();
-  double* ph = scratch.ph.data();
-  double* pc = scratch.pc.data();
-  double* gain_l = scratch.gain_l.data();
-  double* gain_r = scratch.gain_r.data();
-  int* bin = scratch.bin.data();
-  int m = 0;
-  {
-    double ag = 0.0, ah = 0.0;
-    int64_t ac = 0;
-    for (int b = 0; b < nbound; ++b) {
-      ag += slots[b].sum_g;
-      ah += slots[b].sum_h;
-      ac += slots[b].count;
-      pg[m] = ag;
-      ph[m] = ah;
-      pc[m] = static_cast<double>(ac);
-      bin[m] = b;
-      m += slots[b].count != 0 ? 1 : 0;
-      if (ac == present) break;
-    }
-  }
-  // Gain loops over the occupied boundaries: iterations are independent, so
-  // the divisions (the per-boundary cost) pipeline instead of serializing
-  // behind branches.
-  const double msl_d = static_cast<double>(msl);
-  const double present_d = static_cast<double>(present);
-  const double miss_g = miss.sum_g;
-  const double miss_h = miss.sum_h;
-  const double miss_c = static_cast<double>(miss.count);
-  const double neg_inf = -std::numeric_limits<double>::infinity();
-  for (int k = 0; k < m; ++k) {  // Missing goes left.
-    const double gl = pg[k] + miss_g;
-    const double hl = ph[k] + miss_h;
-    const double cl = pc[k] + miss_c;
-    const double shr = hsub - ph[k];
-    const double scr = present_d - pc[k];
-    const double gain =
-        0.5 * (score(gl, hl) + score(gsub - pg[k], shr) - parent_score) -
-        gamma;
-    const bool ok = cl >= msl_d && scr >= msl_d && hl >= mcw && shr >= mcw;
-    gain_l[k] = ok ? gain : neg_inf;
-  }
-  if (!no_miss) {
-    for (int k = 0; k < m; ++k) {  // Missing goes right.
-      const double sgr = gsub - pg[k];
-      const double shr = hsub - ph[k];
-      const double gr = sgr + miss_g;
-      const double hr = shr + miss_h;
-      const double cr = (present_d - pc[k]) + miss_c;
-      const double gain =
-          0.5 * (score(pg[k], ph[k]) + score(gr, hr) - parent_score) - gamma;
-      const bool ok = pc[k] >= msl_d && cr >= msl_d && ph[k] >= mcw &&
-                      hr >= mcw;
-      gain_r[k] = ok ? gain : neg_inf;
-    }
-  }
-  // Monotone constraints: drop every direction whose child weights break
-  // the feature's ordering or leave the node's admissible interval. The
+  const auto score = [&](const V& g, const V& h, V* s) {
+    V t;
+    soft(g, &t);
+    *s = t * t / (h + lambda);
+  };
+  // Monotone constraints drop a direction whose child weights -T / (H +
+  // lambda) break the feature's ordering or leave the node's interval. The
   // comparisons are written so that a NaN weight is never dropped.
-  if (!params_.monotone_constraints.empty()) {
-    const int constraint = ConstraintOf(feature);
-    const auto violates = [&](double gl, double hl, double gr, double hr) {
-      const double wl = LeafWeight(gl, hl);
-      const double wr = LeafWeight(gr, hr);
-      return (constraint > 0 && wl > wr) || (constraint < 0 && wl < wr) ||
-             wl < bounds.lower || wl > bounds.upper || wr < bounds.lower ||
-             wr > bounds.upper;
-    };
-    for (int k = 0; k < m; ++k) {
-      const double sgr = gsub - pg[k];
-      const double shr = hsub - ph[k];
-      if (violates(pg[k] + miss_g, ph[k] + miss_h, sgr, shr)) {
-        gain_l[k] = neg_inf;
-      }
-      if (!no_miss && violates(pg[k], ph[k], sgr + miss_g, shr + miss_h)) {
-        gain_r[k] = neg_inf;
-      }
-    }
-  }
-  // Strict >: bins ascend and missing-left is checked first, so keeping the
-  // incumbent on ties prefers the smaller threshold, then missing-left.
+  const auto violates = [&](int constraint, const V& gl, const V& hl,
+                            const V& gr, const V& hr, M* out) {
+    V tl, tr;
+    soft(gl, &tl);
+    soft(gr, &tr);
+    const V wl = -tl / (hl + lambda);
+    const V wr = -tr / (hr + lambda);
+    M v = (wl < node.lower) | (wl > node.upper) | (wr < node.lower) |
+          (wr > node.upper);
+    if (constraint > 0) v |= wl > wr;
+    if (constraint < 0) v |= wl < wr;
+    *out = v;
+  };
+  const double parent_t = ThresholdL1(node.sum_g, alpha);
+  const double parent_score = parent_t * parent_t / (node.sum_h + lambda);
+
+  // One feature's compacted prefix sums, per thread, grown to the widest
+  // feature seen plus a vector of slack.
+  thread_local std::vector<double> scratch;
+  SplitCandidate best;
   double best_gain = kMinSplitGain;
-  int best_k = -1;
-  bool best_dir = true;
-  for (int k = 0; k < m; ++k) {
-    if (gain_l[k] > best_gain) {
-      best_gain = gain_l[k];
-      best_k = k;
-      best_dir = true;
+  for (int i = 0; i < layout.num_features(); ++i) {
+    const int nb = layout.num_bins(i);
+    if (nb < 2) continue;
+    const HistEntry* slots = hist.feature_slots(layout, i);
+    const HistEntry& miss = hist.miss(i);
+    const double present = static_cast<double>(node.count) - miss.count;
+    // Prefix pass with compaction: one 4-wide add accumulates a slot's
+    // {g, h, count}. Every slot is accumulated — subtraction can leave
+    // count-0 slots with nonzero sums — but only occupied boundaries are
+    // kept: an empty bin repeats its predecessor's partition. Each slot
+    // writes position `m` and advances it only when occupied; the k-th
+    // kept boundary is the k-th occupied bin. Once every present row is on
+    // the left, the remaining slots are empty and the pass stops.
+    const int nbound = nb - 1;
+    const auto run = static_cast<size_t>(nbound) + 4;
+    if (scratch.size() < 3 * run) scratch.resize(3 * run);
+    double* pg = scratch.data();
+    double* ph = pg + run;
+    double* pc = ph + run;
+    int m = 0;
+    V4 acc = {};
+    for (int b = 0; b < nbound; ++b) {
+      V4 slot;
+      std::memcpy(&slot, &slots[b].sum_g, sizeof slot);
+      acc += slot;
+      pg[m] = acc[0];
+      ph[m] = acc[1];
+      pc[m] = acc[2];
+      m += slots[b].count != 0.0 ? 1 : 0;
+      if (acc[2] == present) break;
     }
-    if (!no_miss && gain_r[k] > best_gain) {
-      best_gain = gain_r[k];
-      best_k = k;
-      best_dir = false;
+    // Gain pass over the kept boundaries, kLanes at a time, with the argmax
+    // fused in: each lane keeps its first strictly larger gain and its key
+    // 2k (missing left) or 2k + 1 (missing right). Lanes start at the
+    // node's best so far, which a later feature must beat strictly.
+    const double miss_g = miss.sum_g;
+    const double miss_h = miss.sum_h;
+    const double miss_c = miss.count;
+    const double gsub = node.sum_g - miss_g;
+    const double hsub = node.sum_h - miss_h;
+    // With no missing mass the two default directions score identically and
+    // missing-left wins the tie-break, so the second direction is skipped.
+    const bool no_miss = miss_c == 0.0 && miss_g == 0.0 && miss_h == 0.0;
+    const int feature = layout.features()[static_cast<size_t>(i)];
+    const bool monotone = !params.monotone_constraints.empty();
+    const int constraint =
+        monotone ? params.monotone_constraints[static_cast<size_t>(feature)]
+                 : 0;
+    V lane_gain = zero + best_gain;
+    V lane_key = zero - 1.0;
+    const auto offer = [&](const V& gain, const M& ok, const V& key) {
+      const V g = ok ? gain : neg_inf;
+      const M up = g > lane_gain;
+      lane_gain = up ? g : lane_gain;
+      lane_key = up ? key : lane_key;
+    };
+    for (int k = 0; k < m; k += kLanes) {
+      const V kk = lane + static_cast<double>(k);
+      const M live = kk < static_cast<double>(m);
+      V vg, vh, vc;
+      std::memcpy(&vg, pg + k, sizeof vg);
+      std::memcpy(&vh, ph + k, sizeof vh);
+      std::memcpy(&vc, pc + k, sizeof vc);
+      const V sgr = gsub - vg;
+      const V shr = hsub - vh;
+      const V scr = present - vc;
+      V s_left, s_right;
+      M bad = live ^ live;
+      {  // Missing goes left.
+        const V gl = vg + miss_g;
+        const V hl = vh + miss_h;
+        const V cl = vc + miss_c;
+        score(gl, hl, &s_left);
+        score(sgr, shr, &s_right);
+        const V gain = 0.5 * (s_left + s_right - parent_score) - gamma;
+        if (monotone) violates(constraint, gl, hl, sgr, shr, &bad);
+        const M ok = live & (cl >= msl) & (scr >= msl) & (hl >= mcw) &
+                     (shr >= mcw) & ~bad;
+        offer(gain, ok, 2.0 * kk);
+      }
+      if (!no_miss) {  // Missing goes right.
+        const V gr = sgr + miss_g;
+        const V hr = shr + miss_h;
+        const V cr = scr + miss_c;
+        score(vg, vh, &s_left);
+        score(gr, hr, &s_right);
+        const V gain = 0.5 * (s_left + s_right - parent_score) - gamma;
+        if (monotone) violates(constraint, vg, vh, gr, hr, &bad);
+        const M ok = live & (vc >= msl) & (cr >= msl) & (vh >= mcw) &
+                     (hr >= mcw) & ~bad;
+        offer(gain, ok, 2.0 * kk + 1.0);
+      }
     }
-  }
-  if (best_k >= 0) {
-    const double gl = best_dir ? pg[best_k] + miss_g : pg[best_k];
-    const double hl = best_dir ? ph[best_k] + miss_h : ph[best_k];
-    const double gr =
-        best_dir ? gsub - pg[best_k] : (gsub - pg[best_k]) + miss_g;
-    const double hr =
-        best_dir ? hsub - ph[best_k] : (hsub - ph[best_k]) + miss_h;
+    // Lanes hold the first maximum of their own candidates; across lanes
+    // the larger gain wins, then the smaller key.
+    double key = -1.0;
+    for (int j = 0; j < kLanes; ++j) {
+      if (lane_key[j] < 0.0) continue;
+      if (key < 0.0 || lane_gain[j] > best_gain ||
+          (lane_gain[j] == best_gain && lane_key[j] < key)) {
+        best_gain = lane_gain[j];
+        key = lane_key[j];
+      }
+    }
+    if (key < 0.0) continue;
+    const auto k = static_cast<size_t>(key) / 2;
+    const bool left = static_cast<size_t>(key) % 2 == 0;
     best.valid = true;
     best.feature = feature;
-    best.threshold = bins_.cut(feature, bin[best_k]);
-    best.bin = bin[best_k];
-    best.default_left = best_dir;
+    best.bin = -1;  // the k-th occupied bin
+    for (size_t occupied = 0; occupied <= k;) {
+      occupied += slots[++best.bin].count != 0.0 ? 1 : 0;
+    }
+    best.threshold = bins.cut(feature, best.bin);
+    best.default_left = left;
     best.gain = best_gain;
-    best.weight_left = LeafWeight(gl, hl);
-    best.weight_right = LeafWeight(gr, hr);
+    best.weight_left = LeafWeight(params, left ? pg[k] + miss_g : pg[k],
+                                  left ? ph[k] + miss_h : ph[k]);
+    best.weight_right =
+        LeafWeight(params, left ? gsub - pg[k] : (gsub - pg[k]) + miss_g,
+                   left ? hsub - ph[k] : (hsub - ph[k]) + miss_h);
   }
   return best;
 }
 
-void Trainer::BuildNode(RegressionTree* tree, int node_id,
-                        std::vector<int64_t> rows, int depth,
+[[gnu::target("avx2")]] SplitCandidate ScanAvx2(
+    const GbtParams& params, const FeatureBins& bins,
+    const HistogramLayout& layout, const NodeHistogram& hist,
+    const SplitNode& node) {
+  return ScanNode<V4>(params, bins, layout, hist, node);
+}
+
+}  // namespace
+
+SplitCandidate FindBestSplit(SplitIsa isa, const GbtParams& params,
+                             const FeatureBins& bins,
+                             const HistogramLayout& layout,
+                             const NodeHistogram& hist,
+                             const SplitNode& node) {
+  return isa == SplitIsa::kAvx2
+             ? ScanAvx2(params, bins, layout, hist, node)
+             : ScanNode<V2>(params, bins, layout, hist, node);
+}
+
+void Trainer::BuildNode(RegressionTree* tree, int node_id, int64_t begin,
+                        int64_t end, int depth,
                         const std::vector<GradientPair>& gpairs,
-                        const NodeBounds& bounds,
-                        const HistogramLayout& layout, NodeHistogram hist) {
-  NodeStats stats;
-  for (int64_t r : rows) {
-    stats.sum_g += gpairs[static_cast<size_t>(r)].grad;
-    stats.sum_h += gpairs[static_cast<size_t>(r)].hess;
-  }
-  stats.count = static_cast<int64_t>(rows.size());
-  tree->mutable_node(node_id)->cover = stats.sum_h;
+                        SplitNode node, const HistogramLayout& layout,
+                        NodeHistogram hist) {
+  const std::span<int64_t> rows(rows_.data() + begin,
+                                static_cast<size_t>(end - begin));
+  tree->mutable_node(node_id)->cover = node.sum_h;
 
   const bool can_split = depth < params_.max_depth &&
-                         stats.count >= 2 * params_.min_samples_leaf &&
-                         stats.sum_h >= 2 * params_.min_child_weight;
+                         node.count >= 2 * params_.min_samples_leaf &&
+                         node.sum_h >= 2 * params_.min_child_weight;
+  const auto take_hist = [this] {
+    if (hist_pool_.empty()) return NodeHistogram();
+    NodeHistogram h = std::move(hist_pool_.back());
+    hist_pool_.pop_back();
+    return h;
+  };
   SplitCandidate best;
   if (can_split) {
     if (hist.empty()) {
       // Root (or a node whose parent skipped the subtraction trick): one
       // row-major pass accumulates every feature's histogram at once.
       TraceSpan span("gbt.hist_build", "train");
-      span.Arg("rows", static_cast<int64_t>(rows.size()));
-      hist = BuildHistogram(layout, binned_, rows, gpairs);
+      span.Arg("rows", node.count);
+      hist = BuildHistogram(layout, binned_, rows, gpairs, take_hist());
       ++hist_nodes_direct_;
     }
     TraceSpan split_span("gbt.split_find", "train");
-    // Features ascend, so keeping the first strictly larger gain breaks ties
-    // by gain, then feature, then threshold.
-    for (int i = 0; i < layout.num_features(); ++i) {
-      const SplitCandidate c = FindSplit(i, layout, hist, stats, bounds);
-      if (c.valid && (!best.valid || c.gain > best.gain)) best = c;
-    }
+    best = FindBestSplit(isa_, params_, bins_, layout, hist, node);
   }
 
   if (!best.valid) {
     TreeNode* leaf = tree->mutable_node(node_id);
     const double weight = std::min(
-        bounds.upper,
-        std::max(bounds.lower, LeafWeight(stats.sum_g, stats.sum_h)));
+        node.upper,
+        std::max(node.lower, LeafWeight(params_, node.sum_g, node.sum_h)));
     leaf->value = params_.learning_rate * weight;
     for (int64_t r : rows) row_leaf_[static_cast<size_t>(r)] = node_id;
+    if (!hist.empty()) hist_pool_.push_back(std::move(hist));
     return;
   }
 
   const auto [left_id, right_id] = tree->Split(
       node_id, best.feature, best.threshold, best.default_left, best.gain);
-  std::vector<int64_t> left_rows, right_rows;
-  left_rows.reserve(rows.size());
-  right_rows.reserve(rows.size());
+  split_bin_.resize(static_cast<size_t>(tree->num_nodes()));
+  split_bin_[static_cast<size_t>(node_id)] = best.bin;
+  // Stable in-place partition: left rows move forward, right rows wait in
+  // the spill buffer and follow them, so each child keeps the row order its
+  // histogram sums in. The pass sums each child's {g, h} in that order; a
+  // row adds +0 to the other child, a no-op (a sum from +0 is never -0).
+  row_spill_.resize(rows.size());
+  int64_t num_left = 0, num_right = 0;
+  const V2 zero = {};
+  V2 sum_left = zero, sum_right = zero;
   for (int64_t r : rows) {
     const uint8_t b = binned_.At(r, best.feature);
     const bool go_left = b == kMissingBin ? best.default_left
                                           : static_cast<int>(b) <= best.bin;
-    (go_left ? left_rows : right_rows).push_back(r);
+    rows[static_cast<size_t>(num_left)] = r;
+    row_spill_[static_cast<size_t>(num_right)] = r;
+    num_left += go_left ? 1 : 0;
+    num_right += go_left ? 0 : 1;
+    V2 gh;
+    std::memcpy(&gh, &gpairs[static_cast<size_t>(r)], sizeof gh);
+    const int64_t left_mask = -static_cast<int64_t>(go_left);
+    const decltype(gh < gh) to_left = {left_mask, left_mask};
+    sum_left += to_left ? gh : zero;
+    sum_right += to_left ? zero : gh;
   }
-  rows.clear();
-  rows.shrink_to_fit();
+  std::copy_n(row_spill_.begin(), num_right, rows.begin() + num_left);
+  const int64_t mid_row = begin + num_left;
   // Sibling subtraction: build only the smaller child's histogram from its
-  // rows and derive the larger one as parent − smaller. Skipped when the
-  // children cannot split anyway (depth or min_samples_leaf), in which case
-  // they are passed empty histograms they will never consult.
+  // rows and derive the larger one as parent − smaller in the parent's
+  // buffer. Skipped when the children cannot split anyway (depth or
+  // min_samples_leaf); they are then passed empty histograms.
   NodeHistogram left_hist, right_hist;
   if (depth + 1 < params_.max_depth &&
-      static_cast<int64_t>(std::max(left_rows.size(), right_rows.size())) >=
-          2 * params_.min_samples_leaf) {
-    const bool left_smaller = left_rows.size() <= right_rows.size();
+      std::max(num_left, num_right) >= 2 * params_.min_samples_leaf) {
+    const bool left_smaller = num_left <= num_right;
     NodeHistogram smaller;
     {
       TraceSpan span("gbt.hist_build", "train");
-      span.Arg("rows", static_cast<int64_t>(
-                           left_smaller ? left_rows.size() : right_rows.size()));
-      smaller = BuildHistogram(layout, binned_,
-                               left_smaller ? left_rows : right_rows, gpairs);
+      span.Arg("rows", std::min(num_left, num_right));
+      smaller = BuildHistogram(
+          layout, binned_,
+          left_smaller ? rows.first(static_cast<size_t>(num_left))
+                       : rows.subspan(static_cast<size_t>(num_left)),
+          gpairs, take_hist());
       ++hist_nodes_direct_;
     }
-    NodeHistogram larger;
     {
       TraceSpan subtract_span("gbt.hist_subtract", "train");
-      larger = NodeHistogram::Subtract(std::move(hist), smaller);
+      hist.Subtract(smaller);
       ++hist_nodes_subtracted_;
     }
-    left_hist = left_smaller ? std::move(smaller) : std::move(larger);
-    right_hist = left_smaller ? std::move(larger) : std::move(smaller);
+    left_hist = left_smaller ? std::move(smaller) : std::move(hist);
+    right_hist = left_smaller ? std::move(hist) : std::move(smaller);
+  } else {
+    hist_pool_.push_back(std::move(hist));
   }
-  hist = NodeHistogram();  // release the parent histogram before recursing
   // Propagate monotone weight bounds: when this split is constrained, the
   // children's admissible weights are separated at the midpoint of the
   // candidate child weights (XGBoost's rule).
-  NodeBounds left_bounds = bounds;
-  NodeBounds right_bounds = bounds;
-  const int constraint = ConstraintOf(best.feature);
+  SplitNode left_node{sum_left[0], sum_left[1], num_left, node.lower,
+                      node.upper};
+  SplitNode right_node{sum_right[0], sum_right[1], num_right, node.lower,
+                       node.upper};
+  const int constraint =
+      params_.monotone_constraints.empty()
+          ? 0
+          : params_.monotone_constraints[static_cast<size_t>(best.feature)];
   if (constraint != 0) {
     const double mid = 0.5 * (best.weight_left + best.weight_right);
     if (constraint > 0) {
-      left_bounds.upper = std::min(left_bounds.upper, mid);
-      right_bounds.lower = std::max(right_bounds.lower, mid);
+      left_node.upper = std::min(left_node.upper, mid);
+      right_node.lower = std::max(right_node.lower, mid);
     } else {
-      left_bounds.lower = std::max(left_bounds.lower, mid);
-      right_bounds.upper = std::min(right_bounds.upper, mid);
+      left_node.lower = std::max(left_node.lower, mid);
+      right_node.upper = std::min(right_node.upper, mid);
     }
   }
-  BuildNode(tree, left_id, std::move(left_rows), depth + 1, gpairs,
-            left_bounds, layout, std::move(left_hist));
-  BuildNode(tree, right_id, std::move(right_rows), depth + 1, gpairs,
-            right_bounds, layout, std::move(right_hist));
+  BuildNode(tree, left_id, begin, mid_row, depth + 1, gpairs, left_node,
+            layout, std::move(left_hist));
+  BuildNode(tree, right_id, mid_row, end, depth + 1, gpairs, right_node,
+            layout, std::move(right_hist));
 }
 
-RegressionTree Trainer::GrowTree(const std::vector<GradientPair>& gpairs,
-                                 std::vector<int64_t> rows,
-                                 std::vector<int> features) {
-  RegressionTree tree;
-  const NodeBounds root_bounds{-std::numeric_limits<double>::infinity(),
-                               std::numeric_limits<double>::infinity()};
-  const HistogramLayout layout(bins_, std::move(features));
-  BuildNode(&tree, 0, std::move(rows), 0, gpairs, root_bounds, layout,
-            NodeHistogram());
-  return tree;
+int Trainer::BinnedLeaf(const RegressionTree& tree, int64_t row) const {
+  int id = 0;
+  while (!tree.node(id).IsLeaf()) {
+    const TreeNode& n = tree.node(id);
+    const uint8_t b = binned_.At(row, n.feature);
+    const bool go_left =
+        b == kMissingBin ? n.default_left
+                         : b <= split_bin_[static_cast<size_t>(id)];
+    id = go_left ? n.left : n.right;
+  }
+  return id;
 }
 
 Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
@@ -444,34 +489,29 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
     TraceSpan tree_span("gbt.tree", "train");
     tree_span.Arg("round", round);
     ScopedLatencyTimer tree_timer(Metrics().tree_us);
-    for (int64_t i = 0; i < n; ++i) {
-      GradientPair gp = objective_->ComputeGradient(
-          train_.label(i), raw_train[static_cast<size_t>(i)]);
-      if (params_.scale_pos_weight != 1.0 && train_.label(i) == 1.0) {
-        gp.grad *= params_.scale_pos_weight;
-        gp.hess *= params_.scale_pos_weight;
+    objective_->ComputeGradients(train_.labels(), raw_train, gpairs.data());
+    for (int64_t i = 0; params_.scale_pos_weight != 1.0 && i < n; ++i) {
+      if (train_.label(i) == 1.0) {
+        gpairs[static_cast<size_t>(i)].grad *= params_.scale_pos_weight;
+        gpairs[static_cast<size_t>(i)].hess *= params_.scale_pos_weight;
       }
-      gpairs[static_cast<size_t>(i)] = gp;
     }
     // Row subsample. Marking the drawn rows in `row_leaf_` (0: the root)
     // and collecting them in index order yields the sorted sample without
     // a sort; rows left out stay -1 and are walked in the score update.
-    std::vector<int64_t> rows;
+    rows_.clear();
     if (params_.subsample < 1.0) {
       const auto k = std::max<int64_t>(
           1, static_cast<int64_t>(std::llround(
                  static_cast<double>(n) * params_.subsample)));
       std::fill(row_leaf_.begin(), row_leaf_.end(), -1);
-      for (int64_t r : rng_.SampleWithoutReplacement(n, k)) {
-        row_leaf_[static_cast<size_t>(r)] = 0;
-      }
-      rows.reserve(static_cast<size_t>(k));
+      rng_.SampleWithoutReplacement(n, k, &sample_);
+      for (int64_t r : sample_) row_leaf_[static_cast<size_t>(r)] = 0;
       for (int64_t i = 0; i < n; ++i) {
-        if (row_leaf_[static_cast<size_t>(i)] == 0) rows.push_back(i);
+        if (row_leaf_[static_cast<size_t>(i)] == 0) rows_.push_back(i);
       }
     } else {
-      rows.resize(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) rows[static_cast<size_t>(i)] = i;
+      for (int64_t i = 0; i < n; ++i) rows_.push_back(i);
     }
     // Column subsample.
     std::vector<int> features;
@@ -479,9 +519,8 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
       const auto k = std::max<int64_t>(
           1, static_cast<int64_t>(std::llround(
                  static_cast<double>(nf) * params_.colsample_bytree)));
-      for (int64_t f : rng_.SampleWithoutReplacement(nf, k)) {
-        features.push_back(static_cast<int>(f));
-      }
+      rng_.SampleWithoutReplacement(nf, k, &sample_);
+      features.assign(sample_.begin(), sample_.end());
       std::sort(features.begin(), features.end());
     } else {
       features.resize(static_cast<size_t>(nf));
@@ -490,8 +529,18 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
       }
     }
 
-    RegressionTree tree =
-        GrowTree(gpairs, std::move(rows), std::move(features));
+    RegressionTree tree;
+    {
+      const HistogramLayout layout(bins_, std::move(features));
+      SplitNode root;
+      for (int64_t r : rows_) {
+        root.sum_g += gpairs[static_cast<size_t>(r)].grad;
+        root.sum_h += gpairs[static_cast<size_t>(r)].hess;
+      }
+      root.count = static_cast<int64_t>(rows_.size());
+      BuildNode(&tree, 0, 0, root.count, 0, gpairs, root, layout,
+                NodeHistogram());
+    }
 
     int tree_splits = 0;
     double tree_gain = 0.0;
@@ -511,12 +560,12 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
       // the tree was grown on adds the value of the leaf the grower placed
       // it in. That is the leaf Predict reaches: the binned test
       // `bin(v) <= b` equals `v < cut(b)`, the stored threshold. Rows left
-      // out of the subsample are walked.
+      // out of the subsample walk the tree on their bins by the same test.
       TraceSpan span("gbt.update_scores", "train");
       for (int64_t i = 0; i < n; ++i) {
         const int leaf = row_leaf_[static_cast<size_t>(i)];
         raw_train[static_cast<size_t>(i)] +=
-            leaf >= 0 ? tree.node(leaf).value : tree.Predict(train_.row(i));
+            tree.node(leaf >= 0 ? leaf : BinnedLeaf(tree, i)).value;
       }
       if (validation != nullptr) {
         for (int64_t i = 0; i < validation->num_rows(); ++i) {

@@ -1,6 +1,7 @@
 #ifndef MYSAWH_GBT_TRAINER_H_
 #define MYSAWH_GBT_TRAINER_H_
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -14,6 +15,43 @@
 
 namespace mysawh::gbt {
 
+/// A scored split proposal for one node.
+struct SplitCandidate {
+  bool valid = false;
+  int feature = -1;
+  double threshold = 0.0;
+  int bin = -1;             ///< The split is "bin <= this".
+  bool default_left = true; ///< Learned missing-value direction.
+  double gain = 0.0;
+  double weight_left = 0.0;   ///< Unshrunk child weights (for monotone
+  double weight_right = 0.0;  ///< bound propagation).
+};
+
+/// A node's gradient sums and row count, and its admissible leaf-weight
+/// interval from the monotone constraints on the path from the root.
+struct SplitNode {
+  double sum_g = 0.0;
+  double sum_h = 0.0;
+  int64_t count = 0;
+  double lower = -std::numeric_limits<double>::infinity();
+  double upper = std::numeric_limits<double>::infinity();
+};
+
+/// The builds of the split scan: one source compiled for the baseline target
+/// and for AVX2, which return bitwise equal candidates.
+enum class SplitIsa { kBaseline, kAvx2 };
+
+/// The node's best split over every feature of `layout` in `hist`. Only
+/// occupied boundaries are scored, each with both missing directions; with
+/// monotone constraints, a direction whose child weights break the order
+/// or leave [node.lower, node.upper] is dropped. The winner is the first
+/// maximum gain in the order feature, boundary, missing-left,
+/// missing-right. The CPU must support `isa`.
+SplitCandidate FindBestSplit(SplitIsa isa, const GbtParams& params,
+                             const FeatureBins& bins,
+                             const HistogramLayout& layout,
+                             const NodeHistogram& hist, const SplitNode& node);
+
 /// Internal training engine behind GbtModel::Train. Exposed in a header so
 /// tests can exercise split finding directly, but not part of the stable
 /// public API.
@@ -25,63 +63,25 @@ class Trainer {
   /// Runs boosting and produces the final model.
   Result<GbtModel> Run(const Dataset* validation, TrainingLog* log);
 
-  /// A scored split proposal for one node.
-  struct SplitCandidate {
-    bool valid = false;
-    int feature = -1;
-    double threshold = 0.0;
-    int bin = -1;             ///< The split is "bin <= this".
-    bool default_left = true; ///< Learned missing-value direction.
-    double gain = 0.0;
-    double weight_left = 0.0;   ///< Unshrunk child weights (for monotone
-    double weight_right = 0.0;  ///< bound propagation).
-  };
-
  private:
-  struct NodeStats {
-    double sum_g = 0.0;
-    double sum_h = 0.0;
-    int64_t count = 0;
-  };
+  /// Recursively grows the subtree rooted at `node_id` over the rows
+  /// [begin, end) of `rows_`, partitioned stably in place; `node` holds
+  /// their sums in row order. `hist` is the node's histogram in `layout`
+  /// (built when empty); children inherit histograms via the sibling-
+  /// subtraction trick, and dead ones go back to `hist_pool_`.
+  void BuildNode(RegressionTree* tree, int node_id, int64_t begin,
+                 int64_t end, int depth,
+                 const std::vector<GradientPair>& gpairs, SplitNode node,
+                 const HistogramLayout& layout, NodeHistogram hist);
 
-  /// Admissible leaf-weight interval enforcing monotone constraints along
-  /// the path from the root.
-  struct NodeBounds {
-    double lower;
-    double upper;
-  };
-
-  double LeafWeight(double g, double h) const;
-
-  /// Scans the node histogram of the `feature_pos`-th selected feature for
-  /// its best boundary. Only occupied boundaries are scored, each with both
-  /// missing-value directions; with monotone constraints configured, a
-  /// direction whose child weights break the feature's ordering or leave
-  /// `bounds` is dropped. Ties keep the smaller threshold, then missing-left.
-  SplitCandidate FindSplit(int feature_pos, const HistogramLayout& layout,
-                           const NodeHistogram& hist, const NodeStats& parent,
-                           const NodeBounds& bounds) const;
-
-  /// Recursively grows the subtree rooted at `node_id` over `rows`. `layout`
-  /// is the tree's histogram layout and `hist` the node's histogram (built
-  /// when empty); children inherit histograms via the sibling-subtraction
-  /// trick.
-  void BuildNode(RegressionTree* tree, int node_id, std::vector<int64_t> rows,
-                 int depth, const std::vector<GradientPair>& gpairs,
-                 const NodeBounds& bounds, const HistogramLayout& layout,
-                 NodeHistogram hist);
-
-  /// The monotone constraint of a feature (0 when none configured).
-  int ConstraintOf(int feature) const;
-
-  /// Grows one tree on the (sub)sampled rows and features.
-  RegressionTree GrowTree(const std::vector<GradientPair>& gpairs,
-                          std::vector<int64_t> rows,
-                          std::vector<int> features);
+  /// The leaf a training row reaches in `tree`, walked on its bins with the
+  /// split bins the grower recorded: `bin <= b` is the raw `v < cut(b)`.
+  int BinnedLeaf(const RegressionTree& tree, int64_t row) const;
 
   const Dataset& train_;
   const GbtParams params_;
   std::unique_ptr<Objective> objective_;
+  const SplitIsa isa_ = CpuHasAvx2() ? SplitIsa::kAvx2 : SplitIsa::kBaseline;
   FeatureBins bins_;
   BinnedMatrix binned_;
   int64_t hist_nodes_direct_ = 0;      ///< Histograms built from rows.
@@ -90,6 +90,11 @@ class Trainer {
   /// root (0) before growing, its leaf after; -1 for rows outside the
   /// round's subsample. The score update reads leaf values from it.
   std::vector<int> row_leaf_;
+  std::vector<int64_t> rows_;       ///< The tree's rows, node by node.
+  std::vector<int64_t> row_spill_;  ///< Right-hand rows while partitioning.
+  std::vector<int64_t> sample_;     ///< Subsample draws.
+  std::vector<int> split_bin_;      ///< Per node of the tree, its split bin.
+  std::vector<NodeHistogram> hist_pool_;  ///< Released histogram buffers.
   Rng rng_;
 };
 

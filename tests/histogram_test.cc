@@ -70,7 +70,8 @@ TEST(HistogramTest, SiblingSubtractionMatchesDirectBuild) {
       BuildHistogram(layout, binned.matrix, left, gpairs);
   const NodeHistogram right_direct =
       BuildHistogram(layout, binned.matrix, right, gpairs);
-  const NodeHistogram subtracted = NodeHistogram::Subtract(parent, left_direct);
+  NodeHistogram subtracted = parent;
+  subtracted.Subtract(left_direct);
 
   ASSERT_EQ(subtracted.num_slots(), right_direct.num_slots());
   for (int64_t i = 0; i < subtracted.num_slots(); ++i) {

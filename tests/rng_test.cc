@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "util/stats.h"
 
@@ -168,7 +171,8 @@ TEST(RngTest, ShuffleIsPermutation) {
 TEST(RngTest, SampleWithoutReplacementDistinctAndInRange) {
   Rng rng(43);
   for (int trial = 0; trial < 50; ++trial) {
-    const auto sample = rng.SampleWithoutReplacement(20, 7);
+    std::vector<int64_t> sample;
+    rng.SampleWithoutReplacement(20, 7, &sample);
     ASSERT_EQ(sample.size(), 7u);
     std::set<int64_t> unique(sample.begin(), sample.end());
     EXPECT_EQ(unique.size(), 7u);
@@ -181,14 +185,74 @@ TEST(RngTest, SampleWithoutReplacementDistinctAndInRange) {
 
 TEST(RngTest, SampleWithoutReplacementFull) {
   Rng rng(47);
-  auto sample = rng.SampleWithoutReplacement(5, 5);
+  std::vector<int64_t> sample;
+  rng.SampleWithoutReplacement(5, 5, &sample);
   std::sort(sample.begin(), sample.end());
   EXPECT_EQ(sample, (std::vector<int64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(RngTest, SampleWithoutReplacementEmpty) {
   Rng rng(1);
-  EXPECT_TRUE(rng.SampleWithoutReplacement(5, 0).empty());
+  std::vector<int64_t> sample = {7};
+  rng.SampleWithoutReplacement(5, 0, &sample);
+  EXPECT_TRUE(sample.empty());
+}
+
+/// FNV-1a over the eight bytes of each value: a digest of a whole stream.
+uint64_t Fnv1a(uint64_t hash, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xFF;
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
+/// Every subsample, CV split and simulated patient is drawn through
+/// UniformInt, so any change to how it consumes the generator changes the
+/// study's bytes. The digests pin the streams: the draws themselves and
+/// the generator state after them, which counts the rejected draws. The
+/// last range, 2^63 + 2, rejects about half of all raw draws.
+TEST(RngTest, UniformIntAndSampleStreamsArePinned) {
+  struct Range {
+    int64_t lo, hi;
+    uint64_t digest;
+  };
+  const Range ranges[] = {
+      {0, 2, 0x5b7ec09dae78922bull},
+      {0, 2817, 0xf3903cd259baf56dull},
+      {-3, 3, 0xcd9e4ec4d861e4f2ull},
+      {std::numeric_limits<int64_t>::min(), 1, 0x0ea1bbb9f75fe65dull},
+  };
+  for (const Range& range : ranges) {
+    SCOPED_TRACE(::testing::Message() << "[" << range.lo << ", " << range.hi
+                                      << "]");
+    Rng rng(2024);
+    uint64_t hash = 0xCBF29CE484222325ull;
+    for (int i = 0; i < 10000; ++i) {
+      const int64_t x = rng.UniformInt(range.lo, range.hi);
+      ASSERT_GE(x, range.lo);
+      ASSERT_LE(x, range.hi);
+      hash = Fnv1a(hash, static_cast<uint64_t>(x));
+    }
+    EXPECT_EQ(Fnv1a(hash, rng.NextUint64()), range.digest);
+  }
+  struct Sample {
+    int64_t n, k;
+    uint64_t digest;
+  };
+  const Sample samples[] = {{2818, 2536, 0x3c3c8a7f28820e1eull},
+                            {60, 48, 0xfd85f27e0e52a53cull}};
+  for (const Sample& s : samples) {
+    SCOPED_TRACE(::testing::Message() << "sample " << s.k << " of " << s.n);
+    Rng rng(2024);
+    std::vector<int64_t> drawn;  // reused, as the trainer reuses it
+    uint64_t hash = 0xCBF29CE484222325ull;
+    for (int rep = 0; rep < 3; ++rep) {
+      rng.SampleWithoutReplacement(s.n, s.k, &drawn);
+      for (int64_t v : drawn) hash = Fnv1a(hash, static_cast<uint64_t>(v));
+    }
+    EXPECT_EQ(Fnv1a(hash, rng.NextUint64()), s.digest);
+  }
 }
 
 /// Property sweep: UniformInt is unbiased over several ranges.

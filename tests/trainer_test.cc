@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -137,10 +139,18 @@ TEST(TrainerSplitTest, MinChildWeightRespected) {
 /// value (present rows left, missing rows right). Candidate checks, gains,
 /// tie-breaks, leaf weights and monotone bounds follow the trainer's rules
 /// for squared error, one tree, and no subsampling.
+/// Per kind, how many nodes' winning split tied another candidate: one on
+/// a later feature, or the other missing direction at the same threshold.
+struct OracleTies {
+  int feature = 0;
+  int direction = 0;
+};
+
 class ExactGreedyOracle {
  public:
-  ExactGreedyOracle(const Dataset& data, const GbtParams& params)
-      : data_(data), params_(params) {
+  ExactGreedyOracle(const Dataset& data, const GbtParams& params,
+                    OracleTies* ties = nullptr)
+      : data_(data), params_(params), ties_(ties) {
     for (int64_t r = 0; r < data.num_rows(); ++r) {
       grad_.push_back(params.base_score - data.label(r));
     }
@@ -177,6 +187,7 @@ class ExactGreedyOracle {
     double gain = 0.0;
     double weight_left = 0.0;
     double weight_right = 0.0;
+    int tie = 0;  ///< Bit 1: a later feature tied; bit 2: missing-right.
   };
   struct Entry {
     double value;
@@ -237,7 +248,13 @@ class ExactGreedyOracle {
           (gain == best->gain &&
            (feature < best->feature ||
             (feature == best->feature && threshold < best->threshold)));
-      if (better) *best = {true, feature, threshold, miss_left, gain, wl, wr};
+      if (better) {
+        *best = {true, feature, threshold, miss_left, gain, wl, wr};
+      } else if (gain == best->gain) {
+        best->tie |= feature != best->feature       ? 1
+                     : threshold == best->threshold ? 2
+                                                    : 0;
+      }
     }
   }
 
@@ -289,6 +306,10 @@ class ExactGreedyOracle {
         ScanFeature(f, rows, sum_g, sum_h, bounds, &best);
       }
     }
+    if (ties_ != nullptr) {
+      ties_->feature += best.tie & 1;
+      ties_->direction += best.tie >> 1;
+    }
     if (!best.valid) {
       tree->mutable_node(node_id)->value =
           params_.learning_rate *
@@ -321,6 +342,7 @@ class ExactGreedyOracle {
 
   const Dataset& data_;
   const GbtParams params_;
+  OracleTies* ties_;
   std::vector<double> grad_;  ///< Squared-error gradients at base_score.
   std::vector<std::vector<double>> distinct_;
 };
@@ -354,8 +376,9 @@ RegressionTree TrainOneTree(const Dataset& train, const GbtParams& params) {
 }
 
 void ExpectMatchesOracle(const RegressionTree& tree, const Dataset& train,
-                         const GbtParams& params) {
-  const RegressionTree ref = ExactGreedyOracle(train, params).Grow();
+                         const GbtParams& params,
+                         OracleTies* ties = nullptr) {
+  const RegressionTree ref = ExactGreedyOracle(train, params, ties).Grow();
   ASSERT_EQ(tree.num_nodes(), ref.num_nodes());
   ASSERT_GT(tree.num_nodes(), 1);
   for (int i = 0; i < tree.num_nodes(); ++i) {
@@ -411,6 +434,133 @@ TEST(TrainerSplitTest, MatchesExactGreedyOracleUnderMonotoneConstraints) {
     changed += same ? 0 : 1;
   }
   EXPECT_GE(changed, 30) << "the constraints must bind on most seeds";
+}
+
+/// Tie-heavy data: columns a2 and b2 duplicate a and b, so their gains
+/// equal their twins'; `const` holds one value and missing cells; a, b and
+/// c are Likert answers with missing cells. Rows cycle a through 0, 1 and
+/// missing, and b through 0..4 within each a, and the integer label is
+/// -2/+2/0 by a plus -1/-1/0/+1/+1 by b: a's two sides are mirror images
+/// with the missing rows at gradient 0, so at the root both missing
+/// directions score the same.
+Dataset MakeTieData(uint64_t seed) {
+  Rng rng(seed);
+  Dataset ds = Dataset::Create({"a", "a2", "const", "b", "b2", "c"});
+  const double by_a[] = {-2.0, 2.0, 0.0};
+  const double by_b[] = {-1.0, -1.0, 0.0, 1.0, 1.0};
+  for (int r = 0; r < 240; ++r) {
+    const int a = r % 3;
+    const int b = (r / 3) % 5;
+    const double va = a == 2 ? kNaN : static_cast<double>(a);
+    const double vb = rng.Bernoulli(0.2) ? kNaN : static_cast<double>(b);
+    const double vc = rng.Bernoulli(0.2)
+                          ? kNaN
+                          : static_cast<double>(rng.UniformInt(0, 3));
+    const double vconst = rng.Bernoulli(0.2) ? kNaN : 1.0;
+    EXPECT_TRUE(
+        ds.AddRow({va, va, vconst, vb, vb, vc}, by_a[a] + by_b[b]).ok());
+  }
+  return ds;
+}
+
+/// Equal gains must go to the first candidate in the order feature,
+/// threshold, missing-left, missing-right: the split scan keeps a running
+/// maximum and takes its first position, and this pins that rule against
+/// the oracle's explicit tie-break, with and without monotone constraints.
+TEST(TrainerSplitTest, MatchesExactGreedyOracleOnTies) {
+  OracleTies ties;
+  for (const bool constrained : {false, true}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << (constrained ? " constrained" : ""));
+      const Dataset train = MakeTieData(seed);
+      GbtParams params = OracleParams();
+      if (constrained) {
+        params.monotone_constraints =
+            seed % 2 == 0 ? std::vector<int>{+1, +1, 0, +1, +1, -1}
+                          : std::vector<int>{+1, +1, 0, -1, -1, +1};
+      }
+      ExpectMatchesOracle(TrainOneTree(train, params), train, params, &ties);
+    }
+  }
+  EXPECT_GT(ties.feature, 0) << "duplicate columns must tie on gain";
+  EXPECT_GT(ties.direction, 0) << "both missing directions must tie";
+}
+
+/// Node histograms over 12 features of 2 to 64 bins, with missing cells and
+/// non-integer gradients, cut at several node sizes: both builds of the
+/// split scan must return the same candidate, bit for bit, under L1, gamma,
+/// monotone constraints and weight bounds.
+TEST(TrainerSplitTest, BaselineAndAvx2ScansAgreeBitwise) {
+  if (!CpuHasAvx2()) {
+    GTEST_SKIP() << "this CPU has no AVX2";
+  }
+  Rng rng(99);
+  Dataset data = Dataset::Create(
+      {"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"});
+  for (int r = 0; r < 3000; ++r) {
+    std::vector<double> x(12);
+    double y = 0.0;
+    for (size_t f = 0; f < x.size(); ++f) {
+      x[f] = f % 3 == 0 ? static_cast<double>(rng.UniformInt(0, f / 3 + 1))
+                        : rng.Normal();
+      if (f % 2 == 0 && rng.Bernoulli(0.15)) x[f] = kNaN;
+      if (!std::isnan(x[f])) y += (f % 4 == 0 ? 1.0 : -0.3) * x[f];
+    }
+    ASSERT_TRUE(data.AddRow(x, y + rng.Normal()).ok());
+  }
+  const BinnedData binned = BuildBinned(data, 64).value();
+  const HistogramLayout layout(binned.bins, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                             10, 11});
+  std::vector<GradientPair> gpairs;
+  for (int64_t r = 0; r < data.num_rows(); ++r) {
+    gpairs.push_back({0.1 * data.label(r) - 0.05, 0.5 + 0.1 * (r % 5)});
+  }
+  GbtParams plain;
+  GbtParams regularized;
+  regularized.reg_alpha = 0.7;
+  regularized.gamma = 0.2;
+  regularized.min_samples_leaf = 5;
+  regularized.min_child_weight = 3.0;
+  GbtParams monotone = regularized;
+  monotone.monotone_constraints = {+1, -1, 0, +1, -1, 0, +1, -1, 0, 0, 0, 0};
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  int splits = 0;
+  for (const int64_t size : {3000, 1500, 400, 90, 12}) {
+    std::vector<int64_t> rows;
+    rng.SampleWithoutReplacement(3000, size, &rows);
+    std::sort(rows.begin(), rows.end());
+    const NodeHistogram hist =
+        BuildHistogram(layout, binned.matrix, rows, gpairs);
+    SplitNode node;
+    for (int64_t r : rows) {
+      node.sum_g += gpairs[static_cast<size_t>(r)].grad;
+      node.sum_h += gpairs[static_cast<size_t>(r)].hess;
+    }
+    node.count = size;
+    for (const GbtParams* params : {&plain, &regularized, &monotone}) {
+      for (const double bound : {std::numeric_limits<double>::infinity(),
+                                 0.05}) {
+        SCOPED_TRACE(::testing::Message() << size << " rows, bound " << bound);
+        node.lower = -bound;
+        node.upper = bound;
+        const SplitCandidate base = FindBestSplit(
+            SplitIsa::kBaseline, *params, binned.bins, layout, hist, node);
+        const SplitCandidate avx2 = FindBestSplit(
+            SplitIsa::kAvx2, *params, binned.bins, layout, hist, node);
+        EXPECT_EQ(base.valid, avx2.valid);
+        EXPECT_EQ(base.feature, avx2.feature);
+        EXPECT_EQ(bits(base.threshold), bits(avx2.threshold));
+        EXPECT_EQ(base.bin, avx2.bin);
+        EXPECT_EQ(base.default_left, avx2.default_left);
+        EXPECT_EQ(bits(base.gain), bits(avx2.gain));
+        EXPECT_EQ(bits(base.weight_left), bits(avx2.weight_left));
+        EXPECT_EQ(bits(base.weight_right), bits(avx2.weight_right));
+        splits += base.valid ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GE(splits, 20) << "most nodes must have a split to compare";
 }
 
 TEST(TrainerTest, L2ShrinksLeafValues) {
