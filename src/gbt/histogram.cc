@@ -22,9 +22,7 @@ const Slot4& AsVector(const HistEntry& e) {
 /// `rows`: the single cache-friendly pass. Each row's byte cells are read
 /// contiguously and feed all selected features, four features per step,
 /// and each cell's slot adds {g, h, 1, 0} in one vector add, so every slot
-/// takes its rows in order. Compiled for the baseline target and for AVX2,
-/// where the add is one instruction; lanes never mix, so both builds give
-/// the same bits.
+/// takes its rows in order. Under AVX2 that add is one instruction.
 [[gnu::always_inline]] inline void AccumulateCells(
     const HistogramLayout& layout, const BinnedMatrix& binned,
     std::span<const int64_t> rows, const std::vector<GradientPair>& gpairs,
@@ -35,10 +33,15 @@ const Slot4& AsVector(const HistEntry& e) {
   const int nf = layout.num_features();
   const int64_t num_slots = layout.num_slots();
   std::fill_n(entries, num_slots + nf, HistEntry{});
+  // Each feature's first slot, in a local array: read through the layout,
+  // its address would be reloaded after every slot store.
+  thread_local std::vector<HistEntry*> bases;
+  bases.resize(static_cast<size_t>(nf));
+  for (int fi = 0; fi < nf; ++fi) bases[fi] = entries + layout.offset(fi);
+  HistEntry* const* base = bases.data();
   const auto slot = [&](const uint8_t* row_bins, int fi) {
     const uint8_t b = row_bins[feats[fi]];
-    return b == kMissingBin ? entries + num_slots + fi
-                            : entries + layout.offset(fi) + b;
+    return b == kMissingBin ? entries + num_slots + fi : base[fi] + b;
   };
   for (const int64_t r : rows) {
     const uint8_t* row_bins = cells + r * stride;
@@ -58,10 +61,11 @@ const Slot4& AsVector(const HistEntry& e) {
   }
 }
 
-[[gnu::target("avx2")]] void AccumulateAvx2(
-    const HistogramLayout& layout, const BinnedMatrix& binned,
-    std::span<const int64_t> rows, const std::vector<GradientPair>& gpairs,
-    HistEntry* entries) {
+MYSAWH_TARGET_AVX2 void AccumulateAvx2(const HistogramLayout& layout,
+                                       const BinnedMatrix& binned,
+                                       std::span<const int64_t> rows,
+                                       const std::vector<GradientPair>& gpairs,
+                                       HistEntry* entries) {
   AccumulateCells(layout, binned, rows, gpairs, entries);
 }
 
@@ -72,16 +76,22 @@ const Slot4& AsVector(const HistEntry& e) {
   for (size_t i = 0; i < n; ++i) AsVector(out[i]) -= AsVector(in[i]);
 }
 
-[[gnu::target("avx2")]] void SubtractAvx2(HistEntry* out, const HistEntry* in,
-                                          size_t n) {
+MYSAWH_TARGET_AVX2 void SubtractAvx2(HistEntry* out, const HistEntry* in,
+                                     size_t n) {
   SubtractSlots(out, in, n);
 }
 
 }  // namespace
 
-bool CpuHasAvx2() {
-  static const bool has_avx2 = __builtin_cpu_supports("avx2");
-  return has_avx2;
+KernelIsa HostIsa() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const KernelIsa isa = __builtin_cpu_supports("avx2")
+                                   ? KernelIsa::kAvx2
+                                   : KernelIsa::kBaseline;
+  return isa;
+#else
+  return KernelIsa::kBaseline;
+#endif
 }
 
 HistogramLayout::HistogramLayout(const FeatureBins& bins,
@@ -94,8 +104,8 @@ HistogramLayout::HistogramLayout(const FeatureBins& bins,
   }
 }
 
-void NodeHistogram::Subtract(const NodeHistogram& child) {
-  (CpuHasAvx2() ? SubtractAvx2 : SubtractSlots)(
+void NodeHistogram::Subtract(const NodeHistogram& child, KernelIsa isa) {
+  (isa == KernelIsa::kAvx2 ? SubtractAvx2 : SubtractSlots)(
       entries_.data(), child.entries_.data(), entries_.size());
 }
 
@@ -103,13 +113,14 @@ NodeHistogram BuildHistogram(const HistogramLayout& layout,
                              const BinnedMatrix& binned,
                              std::span<const int64_t> rows,
                              const std::vector<GradientPair>& gpairs,
-                             NodeHistogram storage) {
+                             NodeHistogram storage, KernelIsa isa) {
   NodeHistogram out = std::move(storage);
   const auto size =
       static_cast<size_t>(layout.num_slots() + layout.num_features());
   out.entries_.resize(size);
   out.num_slots_ = layout.num_slots();
-  const auto accumulate = CpuHasAvx2() ? AccumulateAvx2 : AccumulateCells;
+  const auto accumulate =
+      isa == KernelIsa::kAvx2 ? AccumulateAvx2 : AccumulateCells;
   const auto n = static_cast<int64_t>(rows.size());
   // The first chunk sums straight into the result: adding its partial to
   // zeros would give the same bits.

@@ -10,6 +10,21 @@
 
 namespace mysawh::gbt {
 
+/// The builds of the histogram and split kernels: one source compiled for
+/// the baseline target and for AVX2. Each vector lane runs the scalar
+/// arithmetic and lanes never mix, so both builds give the same bits.
+enum class KernelIsa { kBaseline, kAvx2 };
+
+/// The build this CPU runs: kAvx2 where it has AVX2, so never off x86.
+KernelIsa HostIsa();
+
+// Marks the AVX2 build of a kernel.
+#if defined(__x86_64__) || defined(__i386__)
+#define MYSAWH_TARGET_AVX2 [[gnu::target("avx2")]]
+#else
+#define MYSAWH_TARGET_AVX2  // a plain build, which HostIsa() never selects
+#endif
+
 /// Accumulated gradient statistics of one histogram slot (one bin of one
 /// feature, or one feature's missing-value bucket). Four doubles, so one
 /// 4-wide add updates a slot; the row count is exact below 2^53.
@@ -72,26 +87,24 @@ class NodeHistogram {
   /// The sibling-subtraction trick, in place: the parent's histogram becomes
   /// `parent - child` slot-wise, so the larger sibling costs O(slots)
   /// instead of a pass over its rows. Both must share one layout.
-  void Subtract(const NodeHistogram& child);
+  void Subtract(const NodeHistogram& child, KernelIsa isa = HostIsa());
 
  private:
   friend NodeHistogram BuildHistogram(const HistogramLayout& layout,
                                       const BinnedMatrix& binned,
                                       std::span<const int64_t> rows,
                                       const std::vector<GradientPair>& gpairs,
-                                      NodeHistogram storage);
+                                      NodeHistogram storage, KernelIsa isa);
   std::vector<HistEntry> entries_;  // slots, then one miss slot per feature
   int64_t num_slots_ = 0;
 };
-
-/// Whether the CPU runs the AVX2 builds of the histogram and split kernels.
-bool CpuHasAvx2();
 
 /// Accumulates the histogram of `rows` for every feature in `layout` with a
 /// single row-major pass: each row's bins (contiguous in the row-major
 /// BinnedMatrix) feed every selected feature's histogram at once, instead
 /// of rescanning the node once per feature. The result reuses the buffer
-/// of `storage`, a histogram the caller no longer needs.
+/// of `storage`, a histogram the caller no longer needs. The CPU must
+/// support `isa`.
 ///
 /// Rows are summed in fixed 2048-row chunks, each into a zeroed partial,
 /// and the partials are added in ascending chunk order. That association
@@ -101,7 +114,8 @@ NodeHistogram BuildHistogram(const HistogramLayout& layout,
                              const BinnedMatrix& binned,
                              std::span<const int64_t> rows,
                              const std::vector<GradientPair>& gpairs,
-                             NodeHistogram storage = NodeHistogram());
+                             NodeHistogram storage = NodeHistogram(),
+                             KernelIsa isa = HostIsa());
 
 }  // namespace mysawh::gbt
 

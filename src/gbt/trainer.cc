@@ -245,21 +245,22 @@ template <typename V>
   return best;
 }
 
-[[gnu::target("avx2")]] SplitCandidate ScanAvx2(
-    const GbtParams& params, const FeatureBins& bins,
-    const HistogramLayout& layout, const NodeHistogram& hist,
-    const SplitNode& node) {
+MYSAWH_TARGET_AVX2 SplitCandidate ScanAvx2(const GbtParams& params,
+                                           const FeatureBins& bins,
+                                           const HistogramLayout& layout,
+                                           const NodeHistogram& hist,
+                                           const SplitNode& node) {
   return ScanNode<V4>(params, bins, layout, hist, node);
 }
 
 }  // namespace
 
-SplitCandidate FindBestSplit(SplitIsa isa, const GbtParams& params,
+SplitCandidate FindBestSplit(KernelIsa isa, const GbtParams& params,
                              const FeatureBins& bins,
                              const HistogramLayout& layout,
                              const NodeHistogram& hist,
                              const SplitNode& node) {
-  return isa == SplitIsa::kAvx2
+  return isa == KernelIsa::kAvx2
              ? ScanAvx2(params, bins, layout, hist, node)
              : ScanNode<V2>(params, bins, layout, hist, node);
 }
@@ -289,7 +290,7 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id, int64_t begin,
       // row-major pass accumulates every feature's histogram at once.
       TraceSpan span("gbt.hist_build", "train");
       span.Arg("rows", node.count);
-      hist = BuildHistogram(layout, binned_, rows, gpairs, take_hist());
+      hist = BuildHistogram(layout, binned_, rows, gpairs, take_hist(), isa_);
       ++hist_nodes_direct_;
     }
     TraceSpan split_span("gbt.split_find", "train");
@@ -313,29 +314,36 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id, int64_t begin,
   split_bin_[static_cast<size_t>(node_id)] = best.bin;
   // Stable in-place partition: left rows move forward, right rows wait in
   // the spill buffer and follow them, so each child keeps the row order its
-  // histogram sums in. The pass sums each child's {g, h} in that order; a
-  // row adds +0 to the other child, a no-op (a sum from +0 is never -0).
+  // histogram sums in.
   row_spill_.resize(rows.size());
+  const uint8_t* column = binned_.data() + best.feature;
+  const int64_t stride = binned_.num_features();
+  int64_t* spill = row_spill_.data();
   int64_t num_left = 0, num_right = 0;
-  const V2 zero = {};
-  V2 sum_left = zero, sum_right = zero;
   for (int64_t r : rows) {
-    const uint8_t b = binned_.At(r, best.feature);
-    const bool go_left = b == kMissingBin ? best.default_left
-                                          : static_cast<int>(b) <= best.bin;
+    const uint8_t b = column[r * stride];
+    const int64_t go_left = b == kMissingBin
+                                ? best.default_left
+                                : static_cast<int>(b) <= best.bin;
     rows[static_cast<size_t>(num_left)] = r;
-    row_spill_[static_cast<size_t>(num_right)] = r;
-    num_left += go_left ? 1 : 0;
-    num_right += go_left ? 0 : 1;
-    V2 gh;
-    std::memcpy(&gh, &gpairs[static_cast<size_t>(r)], sizeof gh);
-    const int64_t left_mask = -static_cast<int64_t>(go_left);
-    const decltype(gh < gh) to_left = {left_mask, left_mask};
-    sum_left += to_left ? gh : zero;
-    sum_right += to_left ? zero : gh;
+    spill[num_right] = r;
+    num_left += go_left;
+    num_right += 1 - go_left;
   }
-  std::copy_n(row_spill_.begin(), num_right, rows.begin() + num_left);
+  std::copy_n(spill, num_right, rows.begin() + num_left);
   const int64_t mid_row = begin + num_left;
+  // Each child's {g, h} sums, added in row order. The four sums are
+  // independent chains of adds, so one loop advances them all.
+  SplitNode left_node{0.0, 0.0, num_left, node.lower, node.upper};
+  SplitNode right_node{0.0, 0.0, num_right, node.lower, node.upper};
+  const auto add = [&gpairs](SplitNode* to, int64_t r) {
+    to->sum_g += gpairs[static_cast<size_t>(r)].grad;
+    to->sum_h += gpairs[static_cast<size_t>(r)].hess;
+  };
+  for (int64_t i = 0; i < std::max(num_left, num_right); ++i) {
+    if (i < num_left) add(&left_node, rows[static_cast<size_t>(i)]);
+    if (i < num_right) add(&right_node, spill[i]);
+  }
   // Sibling subtraction: build only the smaller child's histogram from its
   // rows and derive the larger one as parent − smaller in the parent's
   // buffer. Skipped when the children cannot split anyway (depth or
@@ -352,12 +360,12 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id, int64_t begin,
           layout, binned_,
           left_smaller ? rows.first(static_cast<size_t>(num_left))
                        : rows.subspan(static_cast<size_t>(num_left)),
-          gpairs, take_hist());
+          gpairs, take_hist(), isa_);
       ++hist_nodes_direct_;
     }
     {
       TraceSpan subtract_span("gbt.hist_subtract", "train");
-      hist.Subtract(smaller);
+      hist.Subtract(smaller, isa_);
       ++hist_nodes_subtracted_;
     }
     left_hist = left_smaller ? std::move(smaller) : std::move(hist);
@@ -368,10 +376,6 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id, int64_t begin,
   // Propagate monotone weight bounds: when this split is constrained, the
   // children's admissible weights are separated at the midpoint of the
   // candidate child weights (XGBoost's rule).
-  SplitNode left_node{sum_left[0], sum_left[1], num_left, node.lower,
-                      node.upper};
-  SplitNode right_node{sum_right[0], sum_right[1], num_right, node.lower,
-                       node.upper};
   const int constraint =
       params_.monotone_constraints.empty()
           ? 0
@@ -496,22 +500,28 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
         gpairs[static_cast<size_t>(i)].hess *= params_.scale_pos_weight;
       }
     }
-    // Row subsample. Marking the drawn rows in `row_leaf_` (0: the root)
-    // and collecting them in index order yields the sorted sample without
-    // a sort; rows left out stay -1 and are walked in the score update.
-    rows_.clear();
+    // Row subsample: `rows_` takes the drawn rows in index order, then the
+    // rows left out, which the score update walks. Marking the drawn rows in
+    // `row_leaf_` (0: the root) and collecting them in index order yields
+    // the sorted sample without a sort.
+    rows_.resize(static_cast<size_t>(n));
+    int64_t num_drawn = n;
     if (params_.subsample < 1.0) {
-      const auto k = std::max<int64_t>(
+      num_drawn = std::max<int64_t>(
           1, static_cast<int64_t>(std::llround(
                  static_cast<double>(n) * params_.subsample)));
       std::fill(row_leaf_.begin(), row_leaf_.end(), -1);
-      rng_.SampleWithoutReplacement(n, k, &sample_);
+      rng_.SampleWithoutReplacement(n, num_drawn, &sample_);
       for (int64_t r : sample_) row_leaf_[static_cast<size_t>(r)] = 0;
+      int64_t front = 0, back = n;
       for (int64_t i = 0; i < n; ++i) {
-        if (row_leaf_[static_cast<size_t>(i)] == 0) rows_.push_back(i);
+        const bool drawn = row_leaf_[static_cast<size_t>(i)] == 0;
+        rows_[static_cast<size_t>(drawn ? front : back - 1)] = i;
+        front += drawn ? 1 : 0;
+        back -= drawn ? 0 : 1;
       }
     } else {
-      for (int64_t i = 0; i < n; ++i) rows_.push_back(i);
+      for (int64_t i = 0; i < n; ++i) rows_[static_cast<size_t>(i)] = i;
     }
     // Column subsample.
     std::vector<int> features;
@@ -533,12 +543,13 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
     {
       const HistogramLayout layout(bins_, std::move(features));
       SplitNode root;
-      for (int64_t r : rows_) {
+      for (int64_t i = 0; i < num_drawn; ++i) {
+        const int64_t r = rows_[static_cast<size_t>(i)];
         root.sum_g += gpairs[static_cast<size_t>(r)].grad;
         root.sum_h += gpairs[static_cast<size_t>(r)].hess;
       }
-      root.count = static_cast<int64_t>(rows_.size());
-      BuildNode(&tree, 0, 0, root.count, 0, gpairs, root, layout,
+      root.count = num_drawn;
+      BuildNode(&tree, 0, 0, num_drawn, 0, gpairs, root, layout,
                 NodeHistogram());
     }
 
@@ -560,12 +571,16 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
       // the tree was grown on adds the value of the leaf the grower placed
       // it in. That is the leaf Predict reaches: the binned test
       // `bin(v) <= b` equals `v < cut(b)`, the stored threshold. Rows left
-      // out of the subsample walk the tree on their bins by the same test.
+      // out of the subsample first walk the tree on their bins by the same
+      // test.
       TraceSpan span("gbt.update_scores", "train");
+      for (int64_t i = num_drawn; i < n; ++i) {
+        const int64_t r = rows_[static_cast<size_t>(i)];
+        row_leaf_[static_cast<size_t>(r)] = BinnedLeaf(tree, r);
+      }
       for (int64_t i = 0; i < n; ++i) {
-        const int leaf = row_leaf_[static_cast<size_t>(i)];
         raw_train[static_cast<size_t>(i)] +=
-            tree.node(leaf >= 0 ? leaf : BinnedLeaf(tree, i)).value;
+            tree.node(row_leaf_[static_cast<size_t>(i)]).value;
       }
       if (validation != nullptr) {
         for (int64_t i = 0; i < validation->num_rows(); ++i) {

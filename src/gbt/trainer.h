@@ -37,17 +37,13 @@ struct SplitNode {
   double upper = std::numeric_limits<double>::infinity();
 };
 
-/// The builds of the split scan: one source compiled for the baseline target
-/// and for AVX2, which return bitwise equal candidates.
-enum class SplitIsa { kBaseline, kAvx2 };
-
 /// The node's best split over every feature of `layout` in `hist`. Only
 /// occupied boundaries are scored, each with both missing directions; with
 /// monotone constraints, a direction whose child weights break the order
 /// or leave [node.lower, node.upper] is dropped. The winner is the first
 /// maximum gain in the order feature, boundary, missing-left,
 /// missing-right. The CPU must support `isa`.
-SplitCandidate FindBestSplit(SplitIsa isa, const GbtParams& params,
+SplitCandidate FindBestSplit(KernelIsa isa, const GbtParams& params,
                              const FeatureBins& bins,
                              const HistogramLayout& layout,
                              const NodeHistogram& hist, const SplitNode& node);
@@ -81,16 +77,17 @@ class Trainer {
   const Dataset& train_;
   const GbtParams params_;
   std::unique_ptr<Objective> objective_;
-  const SplitIsa isa_ = CpuHasAvx2() ? SplitIsa::kAvx2 : SplitIsa::kBaseline;
+  const KernelIsa isa_ = HostIsa();
   FeatureBins bins_;
   BinnedMatrix binned_;
   int64_t hist_nodes_direct_ = 0;      ///< Histograms built from rows.
   int64_t hist_nodes_subtracted_ = 0;  ///< Histograms derived by subtraction.
   /// Per training row, the node holding it in the tree being grown: the
-  /// root (0) before growing, its leaf after; -1 for rows outside the
-  /// round's subsample. The score update reads leaf values from it.
+  /// root (0) before growing, its leaf after. The score update reads leaf
+  /// values from it.
   std::vector<int> row_leaf_;
-  std::vector<int64_t> rows_;       ///< The tree's rows, node by node.
+  /// The round's drawn rows, node by node, then the rows it left out.
+  std::vector<int64_t> rows_;
   std::vector<int64_t> row_spill_;  ///< Right-hand rows while partitioning.
   std::vector<int64_t> sample_;     ///< Subsample draws.
   std::vector<int> split_bin_;      ///< Per node of the tree, its split bin.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -156,6 +157,48 @@ TEST(HistogramTest, ChunkAssociationIsPinned) {
   }
   EXPECT_GT(differs_from_one_pass, 0)
       << "the fixture must make the association observable";
+}
+
+/// Both builds of the accumulation and of the sibling subtraction must give
+/// the same histograms, bit for bit: over three chunks of rows, with
+/// missing cells and gradients whose sums round.
+TEST(HistogramTest, BaselineAndAvx2BuildsAgreeBitwise) {
+  if (HostIsa() != KernelIsa::kAvx2) {
+    GTEST_SKIP() << "this CPU has no AVX2";
+  }
+  const Dataset data = MakeData(5000);
+  const BinnedData binned = BuildBinned(data, 64).value();
+  const HistogramLayout layout(binned.bins, {0, 1, 2, 3});
+  std::vector<int64_t> rows, child;
+  std::vector<GradientPair> gpairs;
+  for (int64_t r = 0; r < data.num_rows(); ++r) {
+    rows.push_back(r);
+    if (r % 3 != 0) child.push_back(r);
+    gpairs.push_back({0.1 * data.label(r) + 1.0 / static_cast<double>(r + 3),
+                      0.3 + 0.01 * static_cast<double>(r % 7)});
+  }
+  const auto build = [&](const std::vector<int64_t>& node, KernelIsa isa) {
+    return BuildHistogram(layout, binned.matrix, node, gpairs,
+                          NodeHistogram(), isa);
+  };
+  NodeHistogram base = build(rows, KernelIsa::kBaseline);
+  NodeHistogram avx2 = build(rows, KernelIsa::kAvx2);
+  const auto expect_same = [](const NodeHistogram& a, const NodeHistogram& b) {
+    ASSERT_EQ(a.num_slots(), b.num_slots());
+    ASSERT_EQ(a.num_miss(), b.num_miss());
+    const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    for (int64_t k = 0; k < a.num_slots() + a.num_miss(); ++k) {
+      const HistEntry& x = a.slots_data()[k];
+      const HistEntry& y = b.slots_data()[k];
+      EXPECT_EQ(bits(x.sum_g), bits(y.sum_g)) << "slot " << k;
+      EXPECT_EQ(bits(x.sum_h), bits(y.sum_h)) << "slot " << k;
+      EXPECT_EQ(bits(x.count), bits(y.count)) << "slot " << k;
+    }
+  };
+  expect_same(base, avx2);
+  base.Subtract(build(child, KernelIsa::kBaseline), KernelIsa::kBaseline);
+  avx2.Subtract(build(child, KernelIsa::kAvx2), KernelIsa::kAvx2);
+  expect_same(base, avx2);
 }
 
 /// The best root split of one feature found by the pre-refactor style

@@ -492,7 +492,7 @@ TEST(TrainerSplitTest, MatchesExactGreedyOracleOnTies) {
 /// split scan must return the same candidate, bit for bit, under L1, gamma,
 /// monotone constraints and weight bounds.
 TEST(TrainerSplitTest, BaselineAndAvx2ScansAgreeBitwise) {
-  if (!CpuHasAvx2()) {
+  if (HostIsa() != KernelIsa::kAvx2) {
     GTEST_SKIP() << "this CPU has no AVX2";
   }
   Rng rng(99);
@@ -545,9 +545,9 @@ TEST(TrainerSplitTest, BaselineAndAvx2ScansAgreeBitwise) {
         node.lower = -bound;
         node.upper = bound;
         const SplitCandidate base = FindBestSplit(
-            SplitIsa::kBaseline, *params, binned.bins, layout, hist, node);
+            KernelIsa::kBaseline, *params, binned.bins, layout, hist, node);
         const SplitCandidate avx2 = FindBestSplit(
-            SplitIsa::kAvx2, *params, binned.bins, layout, hist, node);
+            KernelIsa::kAvx2, *params, binned.bins, layout, hist, node);
         EXPECT_EQ(base.valid, avx2.valid);
         EXPECT_EQ(base.feature, avx2.feature);
         EXPECT_EQ(bits(base.threshold), bits(avx2.threshold));
