@@ -72,8 +72,7 @@ void BM_ShapByDepth(benchmark::State& state) {
 BENCHMARK(BM_ShapByDepth)->Arg(2)->Arg(4)->Arg(6)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
-/// Batch SHAP: the per-row flat recursion at 10 rows, the pattern tables
-/// at 100.
+/// Batch SHAP: the per-row flat recursion over 10 and 100 rows.
 void BM_ShapBatch(benchmark::State& state) {
   const Dataset train = MakeData(2000, 59, 5);  // paper-width feature space
   GbtParams params;

@@ -111,8 +111,6 @@ struct CohortConfig {
   /// Range checks.
   Status Validate() const;
 
-  /// Total patients across clinics.
-  int TotalPatients() const;
   /// Number of 9-month windows (num_months / 9).
   int NumWindows() const { return num_months / 9; }
 };

@@ -66,13 +66,6 @@ ProQuestionBank ProQuestionBank::Standard() {
   return bank;
 }
 
-Result<int> ProQuestionBank::IndexOf(const std::string& name) const {
-  for (size_t i = 0; i < questions_.size(); ++i) {
-    if (questions_[i].name == name) return static_cast<int>(i);
-  }
-  return Status::NotFound("question not found: " + name);
-}
-
 std::vector<int> ProQuestionBank::DomainQuestions(IcDomain domain) const {
   std::vector<int> out;
   for (size_t i = 0; i < questions_.size(); ++i) {

@@ -63,9 +63,6 @@ class ProQuestionBank {
   }
   const std::vector<ProQuestion>& questions() const { return questions_; }
 
-  /// Index lookup by name.
-  Result<int> IndexOf(const std::string& name) const;
-
   /// Indices of all questions of one domain.
   std::vector<int> DomainQuestions(IcDomain domain) const;
 

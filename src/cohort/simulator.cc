@@ -72,12 +72,6 @@ Status CohortConfig::Validate() const {
   return Status::Ok();
 }
 
-int CohortConfig::TotalPatients() const {
-  int total = 0;
-  for (const auto& clinic : clinics) total += clinic.num_patients;
-  return total;
-}
-
 CohortSimulator::CohortSimulator(CohortConfig config)
     : config_(std::move(config)) {}
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -33,19 +32,36 @@ size_t BinOf(const std::vector<double>& edges, double value) {
   return static_cast<size_t>(it - edges.begin());
 }
 
-/// PSI + KS from precomputed bin counts (`num_bins` = the baseline's bin
-/// count, counts over present values only). The shared tail of the
-/// strided single-column path and the fused row-major window sweep.
-FeatureDriftStat StatFromCounts(const FeatureBaseline& base,
-                                const int64_t* counts, int64_t missing,
-                                int64_t rows) {
+/// PSI + KS of one observed strided column against one baseline feature.
+/// The stride lets callers evaluate row-major data in place.
+FeatureDriftStat ComputeFeatureDriftStrided(const FeatureBaseline& base,
+                                            const double* values,
+                                            int64_t rows, int64_t stride) {
   FeatureDriftStat stat;
   stat.name = base.name;
   stat.rows = rows;
   if (rows == 0 || base.rows == 0) return stat;
   const size_t num_bins = std::max<size_t>(base.expected.size(), 1);
+  std::vector<int64_t> counts(num_bins, 0);
+  int64_t missing = 0;
+  const double* edges = base.edges.data();
+  const size_t num_edges = base.edges.size();
+  for (int64_t r = 0; r < rows; ++r) {
+    const double v = values[r * stride];
+    if (std::isnan(v)) {
+      ++missing;
+      continue;
+    }
+    // Branchless lower_bound: the bin index is the number of edges
+    // strictly below the value. Edge counts are single digits, so the
+    // linear scan vectorizes and beats a binary search.
+    size_t bin = 0;
+    for (size_t j = 0; j < num_edges; ++j) bin += edges[j] < v ? 1 : 0;
+    if (bin >= num_bins) bin = num_bins - 1;
+    ++counts[bin];
+  }
   const auto total = static_cast<double>(rows);
-  const int64_t present = stat.rows - missing;
+  const int64_t present = rows - missing;
   stat.missing_actual = static_cast<double>(missing) / total;
 
   // PSI over num_bins + 1 components: each value bin scaled by the
@@ -80,42 +96,6 @@ FeatureDriftStat StatFromCounts(const FeatureBaseline& base,
     stat.ks = ks;
   }
   return stat;
-}
-
-/// PSI + KS of one observed strided column against one baseline feature.
-/// The stride lets callers evaluate row-major data in place.
-FeatureDriftStat ComputeFeatureDriftStrided(const FeatureBaseline& base,
-                                            const double* values,
-                                            int64_t rows, int64_t stride) {
-  if (rows == 0 || base.rows == 0) {
-    return StatFromCounts(base, nullptr, 0, rows);
-  }
-  const size_t num_bins = std::max<size_t>(base.expected.size(), 1);
-  std::vector<int64_t> counts(num_bins, 0);
-  int64_t missing = 0;
-  const double* edges = base.edges.data();
-  const size_t num_edges = base.edges.size();
-  for (int64_t r = 0; r < rows; ++r) {
-    const double v = values[r * stride];
-    if (std::isnan(v)) {
-      ++missing;
-      continue;
-    }
-    // Branchless lower_bound: the bin index is the number of edges
-    // strictly below the value. Edge counts are single digits, so the
-    // linear scan vectorizes and beats a binary search.
-    size_t bin = 0;
-    for (size_t j = 0; j < num_edges; ++j) bin += edges[j] < v ? 1 : 0;
-    if (bin >= num_bins) bin = num_bins - 1;
-    ++counts[bin];
-  }
-  return StatFromCounts(base, counts.data(), missing, rows);
-}
-
-FeatureDriftStat ComputeFeatureDrift(const FeatureBaseline& base,
-                                     const std::vector<double>& values) {
-  return ComputeFeatureDriftStrided(base, values.data(),
-                                    static_cast<int64_t>(values.size()), 1);
 }
 
 /// Builds the baseline of one column: equal-frequency edges over the
@@ -157,15 +137,30 @@ FeatureBaseline BuildFeatureBaseline(const std::string& name,
   return base;
 }
 
-/// Builds a window report from per-feature stats (baseline order, then
-/// the prediction stat). The argmax and threshold logic runs serially in
-/// a fixed order, so stats computed in parallel assemble to the same
-/// report as stats computed inline.
-DriftReport AssembleReport(std::vector<FeatureDriftStat> features,
-                           FeatureDriftStat prediction, bool has_prediction,
-                           const DriftThresholds& thresholds, int64_t rows) {
+/// The one drift evaluation behind EvaluateDrift and the streaming
+/// windows: per-feature stats over `count` row-major rows of the baseline
+/// width, the prediction stat when `preds` is given (nullptr skips it),
+/// then the argmax summaries and threshold crossings in baseline order.
+DriftReport EvaluateRows(const DriftBaseline& baseline, const double* rows,
+                         const double* preds, int64_t count,
+                         const DriftThresholds& thresholds) {
+  const auto width = static_cast<int64_t>(baseline.features.size());
   DriftReport report;
-  report.rows = rows;
+  report.rows = count;
+  report.features.reserve(baseline.features.size());
+  for (int64_t f = 0; f < width; ++f) {
+    report.features.push_back(ComputeFeatureDriftStrided(
+        baseline.features[static_cast<size_t>(f)], rows + f, count, width));
+  }
+  const bool has_prediction = preds != nullptr && baseline.prediction.rows > 0;
+  if (has_prediction) {
+    report.prediction =
+        ComputeFeatureDriftStrided(baseline.prediction, preds, count, 1);
+  } else {
+    report.prediction.name = baseline.prediction.name.empty()
+                                 ? "__prediction__"
+                                 : baseline.prediction.name;
+  }
   const auto consider = [&](const FeatureDriftStat& stat) {
     if (report.max_psi_feature.empty() || stat.psi > report.max_psi) {
       report.max_psi = stat.psi;
@@ -179,36 +174,9 @@ DriftReport AssembleReport(std::vector<FeatureDriftStat> features,
       report.alerts.push_back(stat.name);
     }
   };
-  report.features = std::move(features);
   for (const FeatureDriftStat& stat : report.features) consider(stat);
-  report.prediction = std::move(prediction);
   if (has_prediction) consider(report.prediction);
   return report;
-}
-
-/// Shared core of EvaluateDrift and the streaming window: column-major
-/// values, one column per baseline feature.
-DriftReport EvaluateDriftColumns(const DriftBaseline& baseline,
-                                 const std::vector<std::vector<double>>& cols,
-                                 const std::vector<double>& preds,
-                                 const DriftThresholds& thresholds,
-                                 int64_t rows) {
-  std::vector<FeatureDriftStat> stats;
-  stats.reserve(baseline.features.size());
-  for (size_t f = 0; f < baseline.features.size(); ++f) {
-    stats.push_back(ComputeFeatureDrift(baseline.features[f], cols[f]));
-  }
-  FeatureDriftStat prediction;
-  const bool has_prediction = !preds.empty() && baseline.prediction.rows > 0;
-  if (has_prediction) {
-    prediction = ComputeFeatureDrift(baseline.prediction, preds);
-  } else {
-    prediction.name = baseline.prediction.name.empty()
-                          ? "__prediction__"
-                          : baseline.prediction.name;
-  }
-  return AssembleReport(std::move(stats), std::move(prediction),
-                        has_prediction, thresholds, rows);
 }
 
 std::string FeatureBaselineJson(const FeatureBaseline& base) {
@@ -247,7 +215,14 @@ Result<FeatureBaseline> ParseFeatureBaseline(const JsonValue& value) {
     return Status::InvalidArgument("drift baseline: feature without rows");
   }
   base.rows = static_cast<int64_t>(rows->number_value());
-  base.missing_expected = value.NumberOr("missing", 0.0);
+  const JsonValue* missing = value.Find("missing");
+  if (missing != nullptr) {
+    if (!missing->is_number()) {
+      return Status::DataLoss("drift baseline: feature " + base.name +
+                              " has a non-numeric missing fraction");
+    }
+    base.missing_expected = missing->number_value();
+  }
   const auto read_array = [&](const char* key,
                               std::vector<double>& out) -> Status {
     const JsonValue* array = value.Find(key);
@@ -256,12 +231,21 @@ Result<FeatureBaseline> ParseFeatureBaseline(const JsonValue& value) {
                                      base.name + " lacks array " + key);
     }
     for (const JsonValue& item : array->array_items()) {
-      out.push_back(item.is_null() ? std::nan("") : item.number_value());
+      // NaN serializes as null; JSON numbers themselves are never NaN.
+      if (!item.is_number()) {
+        return Status::DataLoss("drift baseline: feature " + base.name +
+                                " has a non-numeric entry in " + key);
+      }
+      out.push_back(item.number_value());
     }
     return Status::Ok();
   };
   MYSAWH_RETURN_NOT_OK(read_array("edges", base.edges));
   MYSAWH_RETURN_NOT_OK(read_array("expected", base.expected));
+  if (!base.edges.empty() && base.expected.empty()) {
+    return Status::DataLoss("drift baseline: feature " + base.name +
+                            " has edges but no proportions");
+  }
   if (!base.expected.empty() &&
       base.expected.size() != base.edges.size() + 1) {
     return Status::DataLoss("drift baseline: feature " + base.name + " has " +
@@ -274,6 +258,13 @@ Result<FeatureBaseline> ParseFeatureBaseline(const JsonValue& value) {
       return Status::DataLoss("drift baseline: feature " + base.name +
                               " edges are not ascending");
     }
+  }
+  const auto is_proportion = [](double p) { return p >= 0.0 && p <= 1.0; };
+  if (!is_proportion(base.missing_expected) ||
+      !std::all_of(base.expected.begin(), base.expected.end(),
+                   is_proportion)) {
+    return Status::DataLoss("drift baseline: feature " + base.name +
+                            " has a proportion outside [0, 1]");
   }
   return base;
 }
@@ -346,15 +337,9 @@ Result<DriftReport> EvaluateDrift(const DriftBaseline& baseline,
     return Status::InvalidArgument(
         "EvaluateDrift: prediction count != row count");
   }
-  std::vector<std::vector<double>> cols(baseline.features.size());
-  for (size_t f = 0; f < cols.size(); ++f) {
-    cols[f].resize(static_cast<size_t>(data.num_rows()));
-    for (int64_t r = 0; r < data.num_rows(); ++r) {
-      cols[f][static_cast<size_t>(r)] = data.At(r, static_cast<int64_t>(f));
-    }
-  }
-  return EvaluateDriftColumns(baseline, cols, preds, thresholds,
-                              data.num_rows());
+  return EvaluateRows(baseline, data.row(0),
+                      preds.empty() ? nullptr : preds.data(), data.num_rows(),
+                      thresholds);
 }
 
 std::string DriftBaselineJson(const DriftBaseline& baseline) {
@@ -458,30 +443,6 @@ Status DriftMonitorRuntime::Configure(DriftBaseline baseline,
   }
   std::lock_guard<std::mutex> lock(mutex_);
   baseline_ = std::move(baseline);
-  layout_ = BinLayout();
-  size_t max_edges = 0;
-  for (const FeatureBaseline& base : baseline_.features) {
-    max_edges = std::max(max_edges, base.edges.size());
-    const auto nbins =
-        static_cast<int64_t>(std::max<size_t>(base.expected.size(), 1));
-    layout_.nbins.push_back(nbins);
-    layout_.offset.push_back(layout_.total_bins);
-    layout_.total_bins += nbins;
-  }
-  // Strictly greater than max_edges: the binary search's log2(pad) steps
-  // reach ranks up to pad - 1, so at least one +inf sentinel slot must
-  // absorb the "every real edge is below v" case.
-  layout_.pad = 1;
-  while (layout_.pad <= static_cast<int64_t>(max_edges)) layout_.pad <<= 1;
-  layout_.padded_edges.assign(
-      baseline_.features.size() * static_cast<size_t>(layout_.pad),
-      std::numeric_limits<double>::infinity());
-  for (size_t f = 0; f < baseline_.features.size(); ++f) {
-    std::copy(baseline_.features[f].edges.begin(),
-              baseline_.features[f].edges.end(),
-              layout_.padded_edges.begin() +
-                  static_cast<int64_t>(f) * layout_.pad);
-  }
   options_ = options;
   window_rows_.clear();
   window_preds_.clear();
@@ -510,55 +471,11 @@ void DriftMonitorRuntime::ObserveBatch(const Dataset& data,
       static_cast<int64_t>(preds.size()) != data.num_rows()) {
     return;  // A different model's batch: not this monitor's population.
   }
-  const int64_t n = data.num_rows();
-  const int64_t window = options_.window;
-  if (options_.sample_rate > 1) {
-    ObserveSampledLocked(data, preds, width);
-    return;
-  }
-  std::vector<WindowRef> ready;
-  int64_t r = 0;
-  bool buffer_pending = false;
-  if (buffered_ > 0) {
-    // Top up the partial window carried over from the previous batch.
-    const int64_t take = std::min(window - buffered_, n);
-    const double* first = data.row(0);
-    window_rows_.insert(window_rows_.end(), first, first + take * width);
-    window_preds_.insert(window_preds_.end(), preds.begin(),
-                         preds.begin() + take);
-    buffered_ += take;
-    r = take;
-    if (buffered_ >= window) {
-      ready.push_back({window_rows_.data(), window_preds_.data(), window});
-      buffer_pending = true;
-    }
-  }
-  // Whole windows inside the batch evaluate in place: rows are contiguous
-  // in the dataset, so the steady-state path copies nothing.
-  for (; n - r >= window; r += window) {
-    ready.push_back({data.row(r), preds.data() + r, window});
-  }
-  if (!ready.empty()) EvaluateWindowsLocked(ready);
-  if (buffer_pending) {
-    window_rows_.clear();
-    window_preds_.clear();
-    buffered_ = 0;
-  }
-  if (r < n) {  // Carry the tail into the next window.
-    const double* tail = data.row(r);
-    window_rows_.insert(window_rows_.end(), tail, tail + (n - r) * width);
-    window_preds_.insert(window_preds_.end(), preds.begin() + r, preds.end());
-    buffered_ += n - r;
-  }
-}
-
-void DriftMonitorRuntime::ObserveSampledLocked(const Dataset& data,
-                                               const std::vector<double>& preds,
-                                               int64_t width) {
   // The sampling sweep — a leading-features hash per row — is the only
   // work paid for every row. It chunk-parallelizes on multicore machines
   // and admits an identical population for any worker count: chunk
-  // boundaries are fixed and chunks merge in index order.
+  // boundaries are fixed and chunks merge in index order. At rate 1 every
+  // row is admitted.
   constexpr int64_t kChunk = 1024;
   const int64_t n = data.num_rows();
   const int64_t num_chunks = (n + kChunk - 1) / kChunk;
@@ -573,20 +490,12 @@ void DriftMonitorRuntime::ObserveSampledLocked(const Dataset& data,
           }
         }
       });
-  const int64_t window = options_.window;
   for (const std::vector<int64_t>& chunk : picked) {
     for (const int64_t r : chunk) {
       const double* row = data.row(r);
       window_rows_.insert(window_rows_.end(), row, row + width);
       window_preds_.push_back(preds[static_cast<size_t>(r)]);
-      if (++buffered_ == window) {
-        const std::vector<WindowRef> ready = {
-            {window_rows_.data(), window_preds_.data(), window}};
-        EvaluateWindowsLocked(ready);
-        window_rows_.clear();
-        window_preds_.clear();
-        buffered_ = 0;
-      }
+      if (++buffered_ == options_.window) EvaluateWindowLocked();
     }
   }
 }
@@ -594,14 +503,7 @@ void DriftMonitorRuntime::ObserveSampledLocked(const Dataset& data,
 void DriftMonitorRuntime::Flush() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (buffered_ > 0) {
-      const std::vector<WindowRef> ready = {
-          {window_rows_.data(), window_preds_.data(), buffered_}};
-      EvaluateWindowsLocked(ready);
-      window_rows_.clear();
-      window_preds_.clear();
-      buffered_ = 0;
-    }
+    if (buffered_ > 0) EvaluateWindowLocked();
   }
   g_drift_enabled.store(false, std::memory_order_relaxed);
 }
@@ -613,82 +515,13 @@ std::string DriftMonitorRuntime::LastReportJson() {
   return has_report_ ? DriftReportJson(last_report_) : std::string();
 }
 
-void DriftMonitorRuntime::EvaluateWindowsLocked(
-    const std::vector<WindowRef>& windows) {
-  const auto width = static_cast<int64_t>(baseline_.features.size());
-  const bool has_prediction = baseline_.prediction.rows > 0;
-  for (const WindowRef& win : windows) {
-    // Fused row-major counting: one sequential sweep bins every feature
-    // of a row at once. The per-feature strided alternative re-reads the
-    // window `width` times, paying a cache miss per value once the window
-    // outgrows L1. Rows are chunked for multicore machines; integer bin
-    // counts merge exactly for any partition, so the report is identical
-    // for any worker count (and the chunks run inline on a single core).
-    constexpr int64_t kRowChunk = 128;
-    const auto num_chunks =
-        static_cast<size_t>((win.count + kRowChunk - 1) / kRowChunk);
-    std::vector<std::vector<int64_t>> counts(num_chunks);
-    std::vector<std::vector<int64_t>> missing(num_chunks);
-    DefaultPool().ParallelForChunks(
-        win.count, kRowChunk, [&](int64_t chunk, int64_t begin, int64_t end) {
-          std::vector<int64_t>& c = counts[static_cast<size_t>(chunk)];
-          std::vector<int64_t>& m = missing[static_cast<size_t>(chunk)];
-          c.assign(static_cast<size_t>(layout_.total_bins), 0);
-          m.assign(static_cast<size_t>(width), 0);
-          const double* padded = layout_.padded_edges.data();
-          const int64_t* nbins = layout_.nbins.data();
-          const int64_t* offset = layout_.offset.data();
-          const int64_t pad = layout_.pad;
-          for (int64_t r = begin; r < end; ++r) {
-            const double* row = win.rows + r * width;
-            const double* edges = padded;
-            for (int64_t f = 0; f < width; ++f, edges += pad) {
-              const double v = row[f];
-              if (std::isnan(v)) {
-                ++m[static_cast<size_t>(f)];
-                continue;
-              }
-              // Branchless binary search over the padded edges for the
-              // count of edges strictly below the value (+inf padding
-              // never is): log2(pad) compares, no data-dependent branch.
-              int64_t bin = 0;
-              for (int64_t step = pad >> 1; step > 0; step >>= 1) {
-                bin += edges[bin + step - 1] < v ? step : 0;
-              }
-              if (bin >= nbins[f]) bin = nbins[f] - 1;
-              ++c[static_cast<size_t>(offset[f] + bin)];
-            }
-          }
-        });
-    for (size_t chunk = 1; chunk < num_chunks; ++chunk) {
-      for (size_t i = 0; i < counts[0].size(); ++i) {
-        counts[0][i] += counts[chunk][i];
-      }
-      for (size_t f = 0; f < missing[0].size(); ++f) {
-        missing[0][f] += missing[chunk][f];
-      }
-    }
-    std::vector<FeatureDriftStat> stats(static_cast<size_t>(width));
-    for (int64_t f = 0; f < width; ++f) {
-      stats[static_cast<size_t>(f)] = StatFromCounts(
-          baseline_.features[static_cast<size_t>(f)],
-          counts[0].data() + layout_.offset[static_cast<size_t>(f)],
-          missing[0][static_cast<size_t>(f)], win.count);
-    }
-    FeatureDriftStat prediction;
-    if (has_prediction) {
-      prediction = ComputeFeatureDriftStrided(baseline_.prediction, win.preds,
-                                              win.count, 1);
-    } else {
-      prediction.name = baseline_.prediction.name.empty()
-                            ? "__prediction__"
-                            : baseline_.prediction.name;
-    }
-    // Reports assemble and latch strictly in window order.
-    ProcessReportLocked(AssembleReport(std::move(stats), std::move(prediction),
-                                       has_prediction, options_.thresholds,
-                                       win.count));
-  }
+void DriftMonitorRuntime::EvaluateWindowLocked() {
+  ProcessReportLocked(EvaluateRows(baseline_, window_rows_.data(),
+                                   window_preds_.data(), buffered_,
+                                   options_.thresholds));
+  window_rows_.clear();
+  window_preds_.clear();
+  buffered_ = 0;
 }
 
 void DriftMonitorRuntime::ProcessReportLocked(DriftReport report) {

@@ -156,44 +156,14 @@ class DriftMonitorRuntime {
   }
 
  private:
-  /// One window awaiting evaluation: `count` rows of row-major data (the
-  /// baseline width) and their predictions. Points either into the
-  /// observed dataset (whole in-batch windows, zero copy) or into the
-  /// carry-over buffer.
-  struct WindowRef {
-    const double* rows = nullptr;
-    const double* preds = nullptr;
-    int64_t count = 0;
-  };
-
-  /// Flattened per-feature bin layout, precomputed at Configure for the
-  /// fused counting sweep. Every feature's edges are padded with +inf to
-  /// one shared power-of-two width (`pad`): the bin index is then a
-  /// branchless binary search of log2(pad) compares, and +inf never
-  /// counts below a real value so padding cannot change a bin index.
-  struct BinLayout {
-    std::vector<double> padded_edges;  ///< width * pad, row-major.
-    std::vector<int64_t> nbins;
-    std::vector<int64_t> offset;  ///< Feature's slice of the counts matrix.
-    int64_t pad = 0;
-    int64_t total_bins = 0;
-  };
-
-  /// The sampled observation path (`sample_rate` > 1): admits 1-in-rate
-  /// rows by content key into the carry-over buffer, evaluating each
-  /// window as it fills.
-  void ObserveSampledLocked(const Dataset& data,
-                            const std::vector<double>& preds, int64_t width);
-  /// Evaluates each window with one fused row-major counting sweep
-  /// (chunk-parallel over rows), then assembles and latches the reports
-  /// in window order.
-  void EvaluateWindowsLocked(const std::vector<WindowRef>& windows);
+  /// Evaluates the buffered window (full, or the partial one at Flush)
+  /// and empties the buffer.
+  void EvaluateWindowLocked();
   /// Counters, the latch, and the alert event for one window's report.
   void ProcessReportLocked(DriftReport report);
 
   std::mutex mutex_;
   DriftBaseline baseline_;
-  BinLayout layout_;
   DriftMonitorOptions options_;
   std::vector<double> window_rows_;   ///< Row-major, baseline width.
   std::vector<double> window_preds_;

@@ -99,16 +99,6 @@ std::string StudyFingerprint(const StudyConfig& config) {
   return os.str();
 }
 
-Result<const ExperimentResult*> StudyResult::Cell(Outcome outcome,
-                                                  Approach approach,
-                                                  bool with_fi) const {
-  const auto it = cells.find({outcome, approach, with_fi});
-  if (it == cells.end()) {
-    return Status::NotFound("study cell missing");
-  }
-  return &it->second;
-}
-
 std::string StudyResult::ToMarkdown() const {
   std::ostringstream os;
   os << "# DD vs KD study report\n\n";

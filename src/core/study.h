@@ -102,10 +102,6 @@ struct StudyResult {
   int64_t retained = 0;
   GapStats gap_stats;
 
-  /// The cell lookup; fails when the grid is incomplete.
-  Result<const ExperimentResult*> Cell(Outcome outcome, Approach approach,
-                                       bool with_fi) const;
-
   /// Renders the whole study as a self-contained Markdown report
   /// (dataset summary + Fig 4-style tables), suitable for writing to a
   /// REPORT.md.

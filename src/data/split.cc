@@ -24,51 +24,6 @@ Result<TrainTestIndices> TrainTestSplit(int64_t n, double test_fraction,
   return out;
 }
 
-Result<TrainTestIndices> GroupTrainTestSplit(
-    const std::vector<int64_t>& groups, double test_fraction, Rng* rng) {
-  if (groups.empty()) {
-    return Status::InvalidArgument("GroupTrainTestSplit on empty input");
-  }
-  if (test_fraction <= 0.0 || test_fraction >= 1.0) {
-    return Status::InvalidArgument("test_fraction must be in (0, 1)");
-  }
-  std::map<int64_t, std::vector<int64_t>> by_group;
-  for (size_t i = 0; i < groups.size(); ++i) {
-    by_group[groups[i]].push_back(static_cast<int64_t>(i));
-  }
-  if (by_group.size() < 2) {
-    return Status::InvalidArgument(
-        "GroupTrainTestSplit needs at least 2 groups");
-  }
-  std::vector<int64_t> keys;
-  keys.reserve(by_group.size());
-  for (const auto& [k, v] : by_group) {
-    (void)v;
-    keys.push_back(k);
-  }
-  rng->Shuffle(&keys);
-  // Fill the test side group by group until the row quota is reached.
-  const auto target = static_cast<int64_t>(std::llround(
-      static_cast<double>(groups.size()) * test_fraction));
-  TrainTestIndices out;
-  int64_t taken = 0;
-  size_t i = 0;
-  for (; i < keys.size() && (taken == 0 || taken < target); ++i) {
-    // Never consume every group into test.
-    if (i + 1 == keys.size()) break;
-    const auto& rows = by_group[keys[i]];
-    out.test.insert(out.test.end(), rows.begin(), rows.end());
-    taken += static_cast<int64_t>(rows.size());
-  }
-  for (; i < keys.size(); ++i) {
-    const auto& rows = by_group[keys[i]];
-    out.train.insert(out.train.end(), rows.begin(), rows.end());
-  }
-  std::sort(out.train.begin(), out.train.end());
-  std::sort(out.test.begin(), out.test.end());
-  return out;
-}
-
 Result<TrainTestIndices> StratifiedTrainTestSplit(
     const std::vector<double>& labels, double test_fraction, Rng* rng) {
   if (labels.size() < 2) {

@@ -21,12 +21,6 @@ struct TrainTestIndices {
 Result<TrainTestIndices> TrainTestSplit(int64_t n, double test_fraction,
                                         Rng* rng);
 
-/// Train/test split that keeps all rows of a group (e.g. one patient's
-/// samples) on the same side, preventing leakage of patient identity across
-/// the split. `groups[i]` is row i's group key.
-Result<TrainTestIndices> GroupTrainTestSplit(const std::vector<int64_t>& groups,
-                                             double test_fraction, Rng* rng);
-
 /// Shuffled train/test split preserving class proportions on both sides.
 /// `labels` must be integral class ids; every class with at least 2 members
 /// contributes to both sides.

@@ -27,11 +27,6 @@ std::string FormatCell(double value) {
 
 }  // namespace
 
-int64_t Column::size() const {
-  if (is_numeric()) return static_cast<int64_t>(numeric().size());
-  return static_cast<int64_t>(strings().size());
-}
-
 Status Table::CheckLength(size_t n) const {
   if (!columns_.empty() && static_cast<int64_t>(n) != num_rows_) {
     return Status::InvalidArgument(
@@ -90,79 +85,6 @@ Result<const std::vector<double>*> Table::GetNumeric(
     return Status::InvalidArgument("column is not numeric: " + name);
   }
   return &col->numeric();
-}
-
-Result<const std::vector<std::string>*> Table::GetStrings(
-    const std::string& name) const {
-  MYSAWH_ASSIGN_OR_RETURN(const Column* col, GetColumn(name));
-  if (col->is_numeric()) {
-    return Status::InvalidArgument("column is not string-typed: " + name);
-  }
-  return &col->strings();
-}
-
-Result<Table> Table::FilterRows(const std::vector<bool>& keep) const {
-  if (static_cast<int64_t>(keep.size()) != num_rows_) {
-    return Status::InvalidArgument("FilterRows mask length mismatch");
-  }
-  Table out;
-  for (const auto& col : columns_) {
-    if (col.is_numeric()) {
-      std::vector<double> values;
-      for (size_t i = 0; i < keep.size(); ++i) {
-        if (keep[i]) values.push_back(col.numeric()[i]);
-      }
-      MYSAWH_RETURN_NOT_OK(out.AddNumericColumn(col.name, std::move(values)));
-    } else {
-      std::vector<std::string> values;
-      for (size_t i = 0; i < keep.size(); ++i) {
-        if (keep[i]) values.push_back(col.strings()[i]);
-      }
-      MYSAWH_RETURN_NOT_OK(out.AddStringColumn(col.name, std::move(values)));
-    }
-  }
-  return out;
-}
-
-Result<Table> Table::SelectColumns(
-    const std::vector<std::string>& names) const {
-  Table out;
-  for (const auto& name : names) {
-    MYSAWH_ASSIGN_OR_RETURN(const Column* col, GetColumn(name));
-    if (col->is_numeric()) {
-      MYSAWH_RETURN_NOT_OK(out.AddNumericColumn(col->name, col->numeric()));
-    } else {
-      MYSAWH_RETURN_NOT_OK(out.AddStringColumn(col->name, col->strings()));
-    }
-  }
-  return out;
-}
-
-Status Table::Append(const Table& other) {
-  if (other.num_columns() != num_columns()) {
-    return Status::InvalidArgument("Append: schema width mismatch");
-  }
-  for (int64_t i = 0; i < num_columns(); ++i) {
-    const Column& dst = columns_[static_cast<size_t>(i)];
-    const Column& src = other.columns_[static_cast<size_t>(i)];
-    if (dst.name != src.name || dst.is_numeric() != src.is_numeric()) {
-      return Status::InvalidArgument("Append: schema mismatch at column " +
-                                     dst.name);
-    }
-  }
-  for (int64_t i = 0; i < num_columns(); ++i) {
-    Column& dst = columns_[static_cast<size_t>(i)];
-    const Column& src = other.columns_[static_cast<size_t>(i)];
-    if (dst.is_numeric()) {
-      dst.numeric().insert(dst.numeric().end(), src.numeric().begin(),
-                           src.numeric().end());
-    } else {
-      dst.strings().insert(dst.strings().end(), src.strings().begin(),
-                           src.strings().end());
-    }
-  }
-  num_rows_ += other.num_rows_;
-  return Status::Ok();
 }
 
 Status Table::ToCsvFile(const std::string& path) const {

@@ -20,8 +20,6 @@ struct Column {
   std::string name;
   ColumnData data;
 
-  /// Number of entries.
-  int64_t size() const;
   bool is_numeric() const {
     return std::holds_alternative<std::vector<double>>(data);
   }
@@ -29,12 +27,8 @@ struct Column {
   const std::vector<double>& numeric() const {
     return std::get<std::vector<double>>(data);
   }
-  std::vector<double>& numeric() { return std::get<std::vector<double>>(data); }
   /// Precondition: !is_numeric().
   const std::vector<std::string>& strings() const {
-    return std::get<std::vector<std::string>>(data);
-  }
-  std::vector<std::string>& strings() {
     return std::get<std::vector<std::string>>(data);
   }
 };
@@ -65,22 +59,9 @@ class Table {
   Result<const Column*> GetColumn(const std::string& name) const;
   /// Numeric column lookup; fails if missing or non-numeric.
   Result<const std::vector<double>*> GetNumeric(const std::string& name) const;
-  /// String column lookup; fails if missing or non-string.
-  Result<const std::vector<std::string>*> GetStrings(
-      const std::string& name) const;
 
   /// Column access by position (0 <= i < num_columns()).
   const Column& column(int64_t i) const { return columns_[static_cast<size_t>(i)]; }
-
-  /// Returns a table containing only the rows where `keep[row]` is true.
-  /// `keep` must have num_rows() entries.
-  Result<Table> FilterRows(const std::vector<bool>& keep) const;
-
-  /// Returns a table with only the named columns, in the given order.
-  Result<Table> SelectColumns(const std::vector<std::string>& names) const;
-
-  /// Appends all rows of `other`, which must have an identical schema.
-  Status Append(const Table& other);
 
   /// Serializes to CSV (numeric cells via shortest round-trip formatting,
   /// NaN as empty string).

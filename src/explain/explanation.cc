@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "gbt/objective.h"
-#include "util/stats.h"
 #include "util/string_util.h"
 
 namespace mysawh::explain {
@@ -65,31 +64,6 @@ Result<LocalExplanation> ExplainRow(const TreeShap& shap, const Dataset& data,
               }
               return a.feature < b.feature;
             });
-  return out;
-}
-
-Result<GlobalImportance> ComputeGlobalImportance(const TreeShap& shap,
-                                                 const Dataset& data) {
-  MYSAWH_ASSIGN_OR_RETURN(auto matrix, shap.ShapBatch(data));
-  const auto& names = shap.model().feature_names();
-  std::vector<double> mean_abs(names.size(), 0.0);
-  for (const auto& row : matrix) {
-    for (size_t f = 0; f < row.size(); ++f) mean_abs[f] += std::abs(row[f]);
-  }
-  if (!matrix.empty()) {
-    for (double& v : mean_abs) v /= static_cast<double>(matrix.size());
-  }
-  std::vector<size_t> order(names.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (mean_abs[a] != mean_abs[b]) return mean_abs[a] > mean_abs[b];
-    return names[a] < names[b];
-  });
-  GlobalImportance out;
-  for (size_t i : order) {
-    out.features.push_back(names[i]);
-    out.mean_abs_shap.push_back(mean_abs[i]);
-  }
   return out;
 }
 
@@ -152,75 +126,6 @@ Result<DependenceCurve> ComputeDependenceCurve(
     }
   }
   return curve;
-}
-
-
-Result<ShapSummary> ComputeShapSummary(const TreeShap& shap,
-                                       const Dataset& data) {
-  MYSAWH_ASSIGN_OR_RETURN(auto matrix, shap.ShapBatch(data));
-  if (matrix.empty()) {
-    return Status::InvalidArgument("ComputeShapSummary on empty dataset");
-  }
-  const auto& names = shap.model().feature_names();
-  const size_t m = names.size();
-  std::vector<double> mean_abs(m, 0.0);
-  std::vector<double> direction(m, 0.0);
-  for (size_t f = 0; f < m; ++f) {
-    std::vector<double> values, shap_values;
-    double abs_sum = 0.0;
-    for (size_t r = 0; r < matrix.size(); ++r) {
-      const double sv = matrix[r][f];
-      abs_sum += std::abs(sv);
-      const double v = data.At(static_cast<int64_t>(r),
-                               static_cast<int64_t>(f));
-      if (!std::isnan(v)) {
-        values.push_back(v);
-        shap_values.push_back(sv);
-      }
-    }
-    mean_abs[f] = abs_sum / static_cast<double>(matrix.size());
-    if (values.size() >= 2) {
-      auto corr = PearsonCorrelation(values, shap_values);
-      direction[f] = corr.ok() ? *corr : 0.0;
-    }
-  }
-  std::vector<size_t> order(m);
-  for (size_t i = 0; i < m; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (mean_abs[a] != mean_abs[b]) return mean_abs[a] > mean_abs[b];
-    return names[a] < names[b];
-  });
-  ShapSummary out;
-  for (size_t i : order) {
-    out.features.push_back(names[i]);
-    out.mean_abs_shap.push_back(mean_abs[i]);
-    out.direction.push_back(direction[i]);
-  }
-  return out;
-}
-
-std::string RenderShapSummary(const ShapSummary& summary, int top_k) {
-  std::ostringstream os;
-  const size_t n = std::min<size_t>(summary.features.size(),
-                                    static_cast<size_t>(std::max(top_k, 0)));
-  double max_abs = 1e-300;
-  size_t name_width = 0;
-  for (size_t i = 0; i < n; ++i) {
-    max_abs = std::max(max_abs, summary.mean_abs_shap[i]);
-    name_width = std::max(name_width, summary.features[i].size());
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const int width = static_cast<int>(
-        summary.mean_abs_shap[i] / max_abs * 24 + 0.5);
-    const double dir = summary.direction[i];
-    const char* arrow = dir > 0.2 ? "^" : (dir < -0.2 ? "v" : "~");
-    os << summary.features[i]
-       << std::string(name_width - summary.features[i].size(), ' ') << "  "
-       << arrow << " " << std::string(static_cast<size_t>(width), '#') << " "
-       << FormatDouble(summary.mean_abs_shap[i], 5) << " (dir "
-       << FormatDouble(dir, 2) << ")\n";
-  }
-  return os.str();
 }
 
 }  // namespace mysawh::explain

@@ -38,15 +38,6 @@ struct LocalExplanation {
 Result<LocalExplanation> ExplainRow(const TreeShap& shap, const Dataset& data,
                                     int64_t row);
 
-/// Global importance: mean |SHAP| per feature over a dataset, sorted
-/// descending. The standard SHAP summary ranking.
-struct GlobalImportance {
-  std::vector<std::string> features;
-  std::vector<double> mean_abs_shap;  ///< Parallel to `features`.
-};
-Result<GlobalImportance> ComputeGlobalImportance(const TreeShap& shap,
-                                                 const Dataset& data);
-
 /// The paper's Fig 7 artifact: the dependence of one feature's SHAP value
 /// on the feature's value across a population, and a data-derived decision
 /// threshold recovered from the sign change — the DD analogue of the KD
@@ -77,24 +68,6 @@ struct DependenceCurve {
 Result<DependenceCurve> ComputeDependenceCurve(const TreeShap& shap,
                                                const Dataset& data,
                                                const std::string& feature_name);
-
-/// A textual stand-in for the SHAP "beeswarm" summary plot: per feature,
-/// the global importance (mean |SHAP|) plus the direction of the effect —
-/// the Pearson correlation between the feature's values and its SHAP
-/// values (positive: larger values push predictions up).
-struct ShapSummary {
-  std::vector<std::string> features;  ///< Sorted by importance, descending.
-  std::vector<double> mean_abs_shap;
-  std::vector<double> direction;  ///< Correlation in [-1, 1]; 0 when flat
-                                  ///< or the feature is always missing.
-};
-
-/// Computes the summary over `data`.
-Result<ShapSummary> ComputeShapSummary(const TreeShap& shap,
-                                       const Dataset& data);
-
-/// Renders the top `top_k` rows as an aligned text table with signed bars.
-std::string RenderShapSummary(const ShapSummary& summary, int top_k = 15);
 
 }  // namespace mysawh::explain
 

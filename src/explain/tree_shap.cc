@@ -1,7 +1,6 @@
 #include "explain/tree_shap.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/audit_log.h"
 #include "gbt/flat_forest.h"
@@ -202,231 +201,6 @@ void FlatShapRow(const gbt::FlatForest& flat, const uint8_t* bins,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Batch pattern tables.
-//
-// For a fixed tree, everything the recursion computes at a leaf is a
-// function of ONE per-row input: the direction the row takes at each of the
-// leaf's ancestors. The split fractions, the leaf value, the unique-path
-// feature set — all row-independent; the row only decides which child is
-// "hot" (one_fraction 1) at each ancestor. A leaf at depth d therefore has
-// exactly 2^d possible addend vectors. When a batch has more rows than
-// patterns, running the recursion per row repeats the same arithmetic, so
-// ShapBatch instead enumerates every (leaf, pattern) pair once per batch,
-// storing each addend `w * (one_fraction - zero_fraction) * value` the
-// recursion would produce, and each row replays a table-lookup walk.
-//
-// Bit-identity with the per-row recursion holds because (a) the stored
-// addends come out of the SAME recursion code, just driven by an enumerated
-// direction bit instead of the row's bin comparison, and (b) the replay
-// adds them to phi in the SAME order the recursion would: trees ascending,
-// leaves in hot-child-first DFS order within a tree, path positions
-// ascending within a leaf.
-// ---------------------------------------------------------------------------
-
-/// Ancestor direction patterns wider than this fall back to the per-row
-/// recursion (2^26 patterns on one leaf is already far past the point where
-/// the table could pay for itself, and the cap keeps the pattern index well
-/// inside uint32 and the replay stack bounded).
-constexpr int kPatternDepthCap = 26;
-/// Upper bound on total table payload before falling back.
-constexpr double kPatternTableMaxBytes = 64.0 * 1024 * 1024;
-
-/// One leaf's slice of a tree's pattern table.
-struct PatternLeaf {
-  int32_t depth = -1;   ///< Ancestors on the root path = pattern bits.
-  int32_t unique = 0;   ///< Unique path features = addends per pattern.
-  int32_t feat_off = 0;  ///< Start of the phi indices in `feats`.
-  int64_t val_off = 0;   ///< Addends at val_off + pattern * unique.
-};
-
-/// Precomputed SHAP addends of every (leaf, ancestor-pattern) pair of one
-/// tree. Bit i of a pattern is 1 when the row goes left at the i-th
-/// internal node (root first) of the leaf's path.
-struct PatternTable {
-  std::vector<PatternLeaf> leaves;  ///< Indexed by leaf id - leaf_begin.
-  std::vector<int32_t> feats;
-  std::vector<double> vals;
-  int32_t leaf_begin = 0;
-};
-
-/// Sizes both batch strategies: the per-row recursion visits every leaf
-/// once per row, the table builder visits leaf l 2^depth(l) times. Doubles
-/// to keep pathological depths finite.
-void CountPatternVisits(const gbt::FlatForest& flat, int32_t ref, int depth,
-                        int* deepest, double* pattern_visits) {
-  if (ref < 0) {
-    *deepest = std::max(*deepest, depth);
-    *pattern_visits += std::ldexp(1.0, depth);
-    return;
-  }
-  CountPatternVisits(flat, flat.left(ref), depth + 1, deepest,
-                     pattern_visits);
-  CountPatternVisits(flat, flat.right(ref), depth + 1, deepest,
-                     pattern_visits);
-}
-
-/// FlatShapRecurse (condition 0) with the row's direction bit replaced by an
-/// enumeration
-/// of both directions: at every internal node the recursion forks on
-/// b = "row goes left here", so each leaf is reached once per ancestor
-/// pattern, carrying exactly the path state the per-row recursion would
-/// have for a row with those directions. At the leaf the addends are
-/// stored instead of added.
-void BuildPatternsRecurse(const gbt::FlatForest& flat, int32_t ref,
-                          int unique_depth, PathElement* parent_unique_path,
-                          double parent_zero_fraction,
-                          double parent_one_fraction,
-                          int parent_feature_index, uint32_t pattern,
-                          int depth, PatternTable* tbl) {
-  PathElement* unique_path = parent_unique_path + unique_depth + 1;
-  std::copy(parent_unique_path, parent_unique_path + unique_depth + 1,
-            unique_path);
-  ExtendPath(unique_path, unique_depth, parent_zero_fraction,
-             parent_one_fraction, parent_feature_index);
-
-  if (ref < 0) {
-    const double value = flat.leaf_value(~ref);
-    PatternLeaf& lt = tbl->leaves[static_cast<size_t>(~ref - tbl->leaf_begin)];
-    if (lt.depth < 0) {  // First pattern to reach this leaf sizes its slice.
-      lt.depth = depth;
-      lt.unique = unique_depth;
-      lt.feat_off = static_cast<int32_t>(tbl->feats.size());
-      for (int i = 1; i <= unique_depth; ++i) {
-        tbl->feats.push_back(unique_path[i].feature_index);
-      }
-      lt.val_off = static_cast<int64_t>(tbl->vals.size());
-      tbl->vals.resize(tbl->vals.size() +
-                       (size_t{1} << depth) * static_cast<size_t>(unique_depth));
-    }
-    double* slot = tbl->vals.data() + lt.val_off +
-                   static_cast<int64_t>(pattern) * lt.unique;
-    for (int i = 1; i <= unique_depth; ++i) {
-      const double w = UnwoundPathSum(unique_path, unique_depth, i);
-      const PathElement& el = unique_path[i];
-      slot[i - 1] = w * (el.one_fraction - el.zero_fraction) * value;
-    }
-    return;
-  }
-
-  const int feature = flat.feature(ref);
-  double incoming_zero_fraction = 1.0;
-  double incoming_one_fraction = 1.0;
-  int path_index = 0;
-  for (; path_index <= unique_depth; ++path_index) {
-    if (unique_path[path_index].feature_index == feature) break;
-  }
-  if (path_index != unique_depth + 1) {
-    incoming_zero_fraction = unique_path[path_index].zero_fraction;
-    incoming_one_fraction = unique_path[path_index].one_fraction;
-    UnwindPath(unique_path, unique_depth, path_index);
-    unique_depth -= 1;
-  }
-
-  for (uint32_t b = 0; b < 2; ++b) {
-    const bool left_hot = b == 1;
-    const int32_t hot = left_hot ? flat.left(ref) : flat.right(ref);
-    const int32_t cold = left_hot ? flat.right(ref) : flat.left(ref);
-    const double hot_zero_fraction =
-        left_hot ? flat.left_fraction(ref) : flat.right_fraction(ref);
-    const double cold_zero_fraction =
-        left_hot ? flat.right_fraction(ref) : flat.left_fraction(ref);
-    const uint32_t child_pattern = pattern | (b << depth);
-    BuildPatternsRecurse(flat, hot, unique_depth + 1, unique_path,
-                         hot_zero_fraction * incoming_zero_fraction,
-                         incoming_one_fraction, feature, child_pattern,
-                         depth + 1, tbl);
-    BuildPatternsRecurse(flat, cold, unique_depth + 1, unique_path,
-                         cold_zero_fraction * incoming_zero_fraction, 0.0,
-                         feature, child_pattern, depth + 1, tbl);
-  }
-}
-
-std::vector<PatternTable> BuildPatternTables(const gbt::FlatForest& flat) {
-  std::vector<PatternTable> tables(static_cast<size_t>(flat.num_trees()));
-  std::vector<PathElement> workspace(FlatWorkspaceSize(flat));
-  for (int t = 0; t < flat.num_trees(); ++t) {
-    PatternTable& tbl = tables[static_cast<size_t>(t)];
-    tbl.leaf_begin = flat.tree_leaf_begin(t);
-    tbl.leaves.assign(
-        static_cast<size_t>(flat.tree_leaf_end(t) - tbl.leaf_begin),
-        PatternLeaf{});
-    BuildPatternsRecurse(flat, flat.root(t), 0, workspace.data(), 1.0, 1.0,
-                         -1, 0, 0, &tbl);
-  }
-  return tables;
-}
-
-/// One row x one tree from the table: a DFS over the internal nodes
-/// computes the row's direction bits (the pattern prefix) and adds each
-/// leaf's precomputed addends. The cold child is pushed first so the hot
-/// child pops first — the recursion's hot-then-cold leaf order, which
-/// keeps the phi accumulation order (and so the rounding) identical.
-void PatternReplayTree(const gbt::FlatForest& flat, const PatternTable& tbl,
-                       const uint8_t* bins, int32_t root, double* phi) {
-  struct Frame {
-    int32_t ref;
-    uint32_t pattern;
-    int32_t depth;
-  };
-  Frame stack[kPatternDepthCap + 2];
-  int top = 0;
-  stack[top++] = {root, 0, 0};
-  while (top > 0) {
-    const Frame e = stack[--top];
-    if (e.ref < 0) {
-      const PatternLeaf& lt =
-          tbl.leaves[static_cast<size_t>(~e.ref - tbl.leaf_begin)];
-      const double* v = tbl.vals.data() + lt.val_off +
-                        static_cast<int64_t>(e.pattern) * lt.unique;
-      const int32_t* ff = tbl.feats.data() + lt.feat_off;
-      for (int32_t i = 0; i < lt.unique; ++i) phi[ff[i]] += v[i];
-      continue;
-    }
-    const uint8_t bin = bins[flat.feature(e.ref)];
-    const bool go_left = bin == gbt::kMissingBin
-                             ? flat.default_left(e.ref)
-                             : bin < flat.bin_threshold(e.ref);
-    const uint32_t p =
-        e.pattern | (static_cast<uint32_t>(go_left) << e.depth);
-    const int32_t d = e.depth + 1;
-    if (go_left) {
-      stack[top++] = {flat.right(e.ref), p, d};
-      stack[top++] = {flat.left(e.ref), p, d};
-    } else {
-      stack[top++] = {flat.left(e.ref), p, d};
-      stack[top++] = {flat.right(e.ref), p, d};
-    }
-  }
-}
-
-void PatternShapRow(const gbt::FlatForest& flat,
-                    const std::vector<PatternTable>& tables,
-                    const uint8_t* bins, double* phi) {
-  for (int t = 0; t < flat.num_trees(); ++t) {
-    PatternReplayTree(flat, tables[static_cast<size_t>(t)], bins,
-                      flat.root(t), phi);
-  }
-}
-
-/// Tables win when the batch repeats more leaf visits than the builder
-/// spends enumerating patterns (with a 2x margin for the replay's own
-/// cost), and the table fits the depth and memory caps.
-bool UsePatternTables(const gbt::FlatForest& flat, int64_t rows) {
-  int deepest = 0;
-  double pattern_visits = 0.0;
-  for (int t = 0; t < flat.num_trees(); ++t) {
-    CountPatternVisits(flat, flat.root(t), 0, &deepest, &pattern_visits);
-  }
-  if (deepest > kPatternDepthCap) return false;
-  // Addends per pattern <= depth, so this bounds the payload from counts
-  // already in hand.
-  if (pattern_visits * deepest * 8 > kPatternTableMaxBytes) return false;
-  const double direct_visits =
-      static_cast<double>(rows) * static_cast<double>(flat.num_leaves());
-  return 2.0 * pattern_visits <= direct_visits;
-}
-
 /// Cover-weighted mean leaf value of one tree.
 double TreeExpectedValue(const RegressionTree& tree, int node_index) {
   const TreeNode& node = tree.node(node_index);
@@ -508,34 +282,14 @@ Result<std::vector<std::vector<double>>> TreeShap::ShapBatch(
   const auto m = static_cast<size_t>(model_->num_features());
   std::vector<std::vector<double>> out(static_cast<size_t>(data.num_rows()));
   ThreadPool& workers = pool != nullptr ? *pool : DefaultPool();
-  // Large batches amortize the recursion itself: precompute every
-  // (leaf, ancestor-pattern) addend once, then replay per row (bit-identical
-  // — see the pattern-table block above). Small batches would pay more
-  // building the tables than the recursion costs, so they keep the
-  // per-row path.
-  const bool tables_pay = UsePatternTables(*flat, data.num_rows());
-  span.Arg("pattern_tables", tables_pay ? 1 : 0);
-  if (tables_pay) {
-    static Counter* const table_rows_counter =
-        MetricsRegistry::Global().GetCounter("shap.batch_table_rows");
-    table_rows_counter->Increment(data.num_rows());
-    const std::vector<PatternTable> tables = BuildPatternTables(*flat);
-    workers.ParallelFor(data.num_rows(), [&](int64_t r) {
-      std::vector<double> phi(m, 0.0);
-      PatternShapRow(*flat, tables, bins.data() + static_cast<size_t>(r) * m,
-                     phi.data());
-      out[static_cast<size_t>(r)] = std::move(phi);
-    });
-  } else {
-    workers.ParallelFor(data.num_rows(), [&](int64_t r) {
-      std::vector<PathElement> workspace(workspace_size);
-      std::vector<double> phi(m, 0.0);
-      FlatShapRow(*flat, bins.data() + static_cast<size_t>(r) * m,
-                  workspace.data(), phi.data(), /*condition=*/0,
-                  /*condition_feature=*/-1);
-      out[static_cast<size_t>(r)] = std::move(phi);
-    });
-  }
+  workers.ParallelFor(data.num_rows(), [&](int64_t r) {
+    std::vector<PathElement> workspace(workspace_size);
+    std::vector<double> phi(m, 0.0);
+    FlatShapRow(*flat, bins.data() + static_cast<size_t>(r) * m,
+                workspace.data(), phi.data(), /*condition=*/0,
+                /*condition_feature=*/-1);
+    out[static_cast<size_t>(r)] = std::move(phi);
+  });
   // Audit hook: on the calling thread after the parallel loop, so
   // recording can never perturb the attributions it logs.
   if (core::AuditEnabled()) {

@@ -31,14 +31,10 @@ class TreeShap {
   /// SHAP values for one row (num_features() doubles; NaN = missing).
   std::vector<double> Shap(const double* row) const;
 
-  /// SHAP values for every row of `data` (one inner vector per row).
-  /// Batches with more rows than the forest has ancestor-direction
-  /// patterns amortize the recursion: every (leaf, pattern) addend is
-  /// precomputed once per batch and each row replays a table-lookup walk —
-  /// same values, same accumulation order, so bit-identical. Rows are
-  /// explained in parallel on `pool` (nullptr = the shared
-  /// `DefaultPool()`); the output equals calling Shap() per row for any
-  /// thread count and either batch strategy.
+  /// SHAP values for every row of `data` (one inner vector per row). The
+  /// batch is quantized once and rows are explained in parallel on `pool`
+  /// (nullptr = the shared `DefaultPool()`); the output equals calling
+  /// Shap() per row for any thread count.
   Result<std::vector<std::vector<double>>> ShapBatch(
       const Dataset& data, ThreadPool* pool = nullptr) const;
 

@@ -44,67 +44,6 @@ std::vector<double> CutsFromDistinct(const std::vector<double>& values,
   return cuts;
 }
 
-/// Both builders take at most kMaxBins bins, so every cell fits a byte
-/// below the missing sentinel.
-Status CheckMaxBins(int max_bins) {
-  if (max_bins < 2 || max_bins > kMaxBins) {
-    return Status::InvalidArgument("max_bins must be in [2, " +
-                                   std::to_string(kMaxBins) + "]");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Result<FeatureBins> FeatureBins::Build(const Dataset& data, int max_bins) {
-  MYSAWH_RETURN_NOT_OK(CheckMaxBins(max_bins));
-  FeatureBins out;
-  out.cuts_.resize(static_cast<size_t>(data.num_features()));
-  for (int64_t f = 0; f < data.num_features(); ++f) {
-    std::vector<double> values;
-    values.reserve(static_cast<size_t>(data.num_rows()));
-    for (int64_t r = 0; r < data.num_rows(); ++r) {
-      const double v = data.At(r, f);
-      if (!std::isnan(v)) values.push_back(v);
-    }
-    auto& cuts = out.cuts_[static_cast<size_t>(f)];
-    if (values.empty()) {
-      cuts = {std::numeric_limits<double>::infinity()};
-      continue;
-    }
-    std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
-    cuts = CutsFromDistinct(values, max_bins);
-  }
-  return out;
-}
-
-uint8_t FeatureBins::BinFor(int64_t feature, double value) const {
-  if (std::isnan(value)) return kMissingBin;
-  const auto& cuts = cuts_[static_cast<size_t>(feature)];
-  // First bin whose upper boundary exceeds the value.
-  const auto it = std::upper_bound(cuts.begin(), cuts.end(), value);
-  const auto idx = static_cast<size_t>(it - cuts.begin());
-  return static_cast<uint8_t>(std::min(idx, cuts.size() - 1));
-}
-
-BinnedMatrix BinnedMatrix::Build(const Dataset& data,
-                                 const FeatureBins& bins) {
-  BinnedMatrix out;
-  out.num_rows_ = data.num_rows();
-  out.num_features_ = data.num_features();
-  out.cells_.resize(static_cast<size_t>(data.num_rows() * data.num_features()));
-  for (int64_t r = 0; r < data.num_rows(); ++r) {
-    for (int64_t f = 0; f < data.num_features(); ++f) {
-      out.cells_[static_cast<size_t>(r * out.num_features_ + f)] =
-          bins.BinFor(f, data.At(r, f));
-    }
-  }
-  return out;
-}
-
-namespace {
-
 /// One present (non-NaN) cell of a feature column.
 struct PresentCell {
   double value;
@@ -166,8 +105,7 @@ void RadixSortValues(std::vector<double>* values) {
 }
 
 /// Branchless upper_bound over the cuts: first index whose cut exceeds the
-/// value, matching FeatureBins::BinFor exactly (including the cap for +inf
-/// values).
+/// value, capped at the last bin (so +inf lands in it).
 inline size_t BinSearch(const double* c, size_t m, double v) {
   size_t base = 0;
   size_t len = m;
@@ -259,7 +197,12 @@ std::vector<PresentCell> CollectPresent(const Dataset& data, int64_t f,
 }  // namespace
 
 Result<BinnedData> BuildBinned(const Dataset& data, int max_bins) {
-  MYSAWH_RETURN_NOT_OK(CheckMaxBins(max_bins));
+  // At most kMaxBins bins, so every cell fits a byte below the missing
+  // sentinel.
+  if (max_bins < 2 || max_bins > kMaxBins) {
+    return Status::InvalidArgument("max_bins must be in [2, " +
+                                   std::to_string(kMaxBins) + "]");
+  }
   TraceSpan span("gbt.binning", "train");
   span.Arg("rows", data.num_rows());
   span.Arg("features", data.num_features());

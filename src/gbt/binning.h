@@ -31,10 +31,6 @@ inline constexpr uint8_t kMissingBin = 0xFF;
 /// represented exactly).
 class FeatureBins {
  public:
-  /// Builds cut points from the training data with at most `max_bins` bins
-  /// per feature; `max_bins` must be in [2, kMaxBins].
-  static Result<FeatureBins> Build(const Dataset& data, int max_bins);
-
   int64_t num_features() const {
     return static_cast<int64_t>(cuts_.size());
   }
@@ -48,9 +44,6 @@ class FeatureBins {
     return cuts_[static_cast<size_t>(feature)][static_cast<size_t>(bin)];
   }
 
-  /// Maps a raw value to its bin (kMissingBin for NaN).
-  uint8_t BinFor(int64_t feature, double value) const;
-
  private:
   friend Result<BinnedData> BuildBinned(const Dataset& data, int max_bins);
   std::vector<std::vector<double>> cuts_;
@@ -61,9 +54,6 @@ class FeatureBins {
 /// feed the histograms of every feature at once.
 class BinnedMatrix {
  public:
-  /// Quantizes `data` with the given `bins`.
-  static BinnedMatrix Build(const Dataset& data, const FeatureBins& bins);
-
   int64_t num_rows() const { return num_rows_; }
   int64_t num_features() const { return num_features_; }
   /// Bin of (row, feature); kMissingBin for a missing value.
@@ -107,9 +97,9 @@ std::vector<BinOccupancy> ComputeBinOccupancy(const FeatureBins& bins,
 /// Builds the cut points and the quantized matrix in one fused pass: each
 /// feature's present values are radix-sorted once, the cuts are derived
 /// from the distinct values, and cells are mapped to bins with a branchless
-/// binary search, four at a time. Produces exactly the same cuts and bins
-/// as FeatureBins::Build followed by BinnedMatrix::Build
-/// (BinningTest.FusedBuildMatchesReference), several times faster.
+/// binary search, four at a time. Produces exactly the cuts and bins of a
+/// plain sort-then-upper_bound quantizer (the test oracle in
+/// tests/reference_binning.h, BinningTest.FusedBuildMatchesReference).
 /// `max_bins` must be in [2, kMaxBins].
 Result<BinnedData> BuildBinned(const Dataset& data, int max_bins);
 

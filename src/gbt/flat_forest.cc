@@ -101,8 +101,6 @@ Result<FlatForest> FlatForest::Compile(
   flat.leaf_values_.reserve(static_cast<size_t>(total_leaves));
   flat.default_left_bits_.assign(
       static_cast<size_t>((total_internal + 63) / 64), 0);
-  flat.tree_node_offsets_.push_back(0);
-  flat.tree_leaf_offsets_.push_back(0);
   for (const auto& tree : trees) {
     const int32_t node_base = static_cast<int32_t>(flat.feature_.size());
     // Preorder index of every internal node (explicit stack: deserialized
@@ -162,10 +160,6 @@ Result<FlatForest> FlatForest::Compile(
             tree.node(n.right).cover / cover);
       }
     }
-    flat.tree_node_offsets_.push_back(
-        static_cast<int32_t>(flat.feature_.size()));
-    flat.tree_leaf_offsets_.push_back(
-        static_cast<int32_t>(flat.leaf_values_.size()));
   }
 
   flat.BuildDerivedState();

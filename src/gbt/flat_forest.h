@@ -97,16 +97,6 @@ class FlatForest {
   double leaf_value(int64_t leaf) const {
     return leaf_values_[static_cast<size_t>(leaf)];
   }
-  /// Tree `tree`'s leaves are ids [tree_leaf_begin(t), tree_leaf_end(t)) —
-  /// the half-open slice of the leaf-value array a `ref < 0` child of that
-  /// tree can point into. Lets per-tree caches (the TreeSHAP pattern
-  /// tables) index leaves densely without a discovery pass.
-  int32_t tree_leaf_begin(int tree) const {
-    return tree_leaf_offsets_[static_cast<size_t>(tree)];
-  }
-  int32_t tree_leaf_end(int tree) const {
-    return tree_leaf_offsets_[static_cast<size_t>(tree) + 1];
-  }
 
   /// Quantizes one row of num_features() doubles into `out` (num_features()
   /// bytes): bin(v) = number of cuts <= v, NaN -> kMissingBin.
@@ -175,10 +165,6 @@ class FlatForest {
   // their leaf ref), so the walk has no per-level exit branch. Derived
   // from the links.
   std::vector<int32_t> tree_depths_;
-  // Tree t's internal nodes are [tree_node_offsets_[t],
-  // tree_node_offsets_[t+1]), its leaves likewise in tree_leaf_offsets_.
-  std::vector<int32_t> tree_node_offsets_;
-  std::vector<int32_t> tree_leaf_offsets_;
 
   // Internal-node SoA block, preorder within each tree.
   std::vector<int16_t> feature_;

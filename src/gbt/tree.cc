@@ -1,7 +1,6 @@
 #include "gbt/tree.h"
 
 #include <cmath>
-#include <functional>
 #include <sstream>
 
 #include "util/serialization.h"
@@ -15,21 +14,6 @@ RegressionTree RegressionTree::FromNodes(std::vector<TreeNode> nodes) {
   RegressionTree tree;
   if (!nodes.empty()) tree.nodes_ = std::move(nodes);
   return tree;
-}
-
-int RegressionTree::num_leaves() const {
-  int count = 0;
-  for (const auto& n : nodes_) count += n.IsLeaf() ? 1 : 0;
-  return count;
-}
-
-int RegressionTree::MaxDepth() const {
-  std::function<int(int)> depth = [&](int id) -> int {
-    const TreeNode& n = nodes_[static_cast<size_t>(id)];
-    if (n.IsLeaf()) return 0;
-    return 1 + std::max(depth(n.left), depth(n.right));
-  };
-  return depth(0);
 }
 
 std::pair<int, int> RegressionTree::Split(int node_id, int feature,
@@ -105,35 +89,6 @@ Status RegressionTree::Validate(int64_t num_features) const {
     }
   }
   return Status::Ok();
-}
-
-std::string RegressionTree::ToString(
-    const std::vector<std::string>& feature_names) const {
-  std::ostringstream os;
-  std::function<void(int, int)> dump = [&](int id, int indent) {
-    const TreeNode& n = nodes_[static_cast<size_t>(id)];
-    os << std::string(static_cast<size_t>(indent) * 2, ' ');
-    if (n.IsLeaf()) {
-      os << "leaf=" << FormatDouble(n.value, 6) << " cover="
-         << FormatDouble(n.cover, 3) << "\n";
-      return;
-    }
-    std::string fname;
-    if (n.feature < static_cast<int32_t>(feature_names.size())) {
-      fname = feature_names[static_cast<size_t>(n.feature)];
-    } else {
-      fname = "f";
-      fname += std::to_string(n.feature);
-    }
-    os << "[" << fname << " < " << FormatDouble(n.threshold, 6) << "] yes="
-       << n.left << " no=" << n.right
-       << " missing=" << (n.default_left ? n.left : n.right)
-       << " gain=" << FormatDouble(n.gain, 4) << "\n";
-    dump(n.left, indent + 1);
-    dump(n.right, indent + 1);
-  };
-  dump(0, 0);
-  return os.str();
 }
 
 std::string TreeNodeToText(const TreeNode& node) {

@@ -38,10 +38,6 @@ class RegressionTree {
 
   /// Number of nodes (internal + leaves).
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  /// Number of leaves.
-  int num_leaves() const;
-  /// Length of the longest root-to-leaf path (a single leaf has depth 0).
-  int MaxDepth() const;
 
   const TreeNode& node(int i) const { return nodes_[static_cast<size_t>(i)]; }
   TreeNode* mutable_node(int i) { return &nodes_[static_cast<size_t>(i)]; }
@@ -65,9 +61,6 @@ class RegressionTree {
   /// array came from disk, since Predict indexes the input row by the
   /// node's feature without a bounds check.
   Status Validate(int64_t num_features = -1) const;
-
-  /// Multi-line indented dump for debugging and golden tests.
-  std::string ToString(const std::vector<std::string>& feature_names = {}) const;
 
  private:
   std::vector<TreeNode> nodes_;

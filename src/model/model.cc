@@ -102,14 +102,4 @@ void RegisterModelFactory(const std::string& kind, ModelFactory factory) {
   registry.factories[kind] = std::move(factory);
 }
 
-std::vector<std::string> RegisteredModelKinds() {
-  EnsureBuiltinFamiliesRegistered();
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  std::vector<std::string> kinds;
-  kinds.reserve(registry.factories.size());
-  for (const auto& [kind, factory] : registry.factories) kinds.push_back(kind);
-  return kinds;
-}
-
 }  // namespace mysawh::model

@@ -77,11 +77,8 @@ using ModelFactory =
 /// ones (latest wins), so tests can shadow a built-in.
 void RegisterModelFactory(const std::string& kind, ModelFactory factory);
 
-/// Sorted kinds currently registered (built-ins are always present).
-std::vector<std::string> RegisteredModelKinds();
-
 /// Registers the built-in families (gbt, linear, logistic, gam). Called
-/// lazily by Deserialize/RegisteredModelKinds; idempotent and thread-safe.
+/// lazily by Deserialize; idempotent and thread-safe.
 void EnsureBuiltinFamiliesRegistered();
 
 }  // namespace mysawh::model

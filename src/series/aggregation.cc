@@ -49,8 +49,4 @@ Result<TimeSeries> AggregateByPeriod(const TimeSeries& daily, int64_t period,
   return TimeSeries(std::move(out));
 }
 
-Result<TimeSeries> DailyToMonthlyMean(const TimeSeries& daily) {
-  return AggregateByPeriod(daily, 30, AggregateOp::kMean);
-}
-
 }  // namespace mysawh

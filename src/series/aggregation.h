@@ -22,9 +22,6 @@ enum class AggregateOp { kMean, kSum, kMin, kMax };
 Result<TimeSeries> AggregateByPeriod(const TimeSeries& daily, int64_t period,
                                      AggregateOp op);
 
-/// Convenience wrapper: monthly means with 30-day months.
-Result<TimeSeries> DailyToMonthlyMean(const TimeSeries& daily);
-
 }  // namespace mysawh
 
 #endif  // MYSAWH_SERIES_AGGREGATION_H_

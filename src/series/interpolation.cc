@@ -4,11 +4,6 @@
 
 namespace mysawh {
 
-Result<InterpolationReport> InterpolateMaxGap(TimeSeries* series,
-                                              int64_t max_gap) {
-  return ImputeMaxGap(series, max_gap, ImputationMethod::kLinear);
-}
-
 Result<InterpolationReport> ImputeMaxGap(TimeSeries* series, int64_t max_gap,
                                          ImputationMethod method) {
   if (series == nullptr) {
@@ -63,17 +58,6 @@ Result<InterpolationReport> ImputeMaxGap(TimeSeries* series, int64_t max_gap,
   }
   report.left_missing = series->NumMissing();
   return report;
-}
-
-int64_t FillMissing(TimeSeries* series, double value) {
-  int64_t filled = 0;
-  for (int64_t i = 0; i < series->size(); ++i) {
-    if (series->IsMissing(i)) {
-      series->set(i, value);
-      ++filled;
-    }
-  }
-  return filled;
 }
 
 }  // namespace mysawh

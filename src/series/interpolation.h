@@ -22,26 +22,17 @@ enum class ImputationMethod {
   kNearest,  ///< Nearest surrounding observation (ties resolve backward).
 };
 
-/// Fills missing runs of length <= `max_gap` by linear interpolation between
-/// the surrounding observed values. Runs longer than `max_gap` are left
-/// untouched — the paper's quality-assurance step found that interpolating
-/// very large gaps produces spurious training data and settled on a max of 5.
+/// Fills missing runs of length <= `max_gap` with `method` (kLinear:
+/// interpolation between the surrounding observed values). Runs longer than
+/// `max_gap` are left untouched — the paper's quality-assurance step found
+/// that interpolating very large gaps produces spurious training data and
+/// settled on a max of 5.
 ///
 /// Boundary runs (no observation on one side) are filled by carrying the
 /// nearest observation when their length is within `max_gap`, and left
 /// missing otherwise. `max_gap == 0` disables filling entirely.
-Result<InterpolationReport> InterpolateMaxGap(TimeSeries* series,
-                                              int64_t max_gap);
-
-/// Generalization of InterpolateMaxGap to other imputation methods; the
-/// same bounded-run semantics apply.
 Result<InterpolationReport> ImputeMaxGap(TimeSeries* series, int64_t max_gap,
                                          ImputationMethod method);
-
-/// Fills every remaining missing entry with `value` (used after bounded
-/// interpolation when the learner cannot accept NaN; our GBT can, so the
-/// main pipeline keeps NaNs instead).
-int64_t FillMissing(TimeSeries* series, double value);
 
 }  // namespace mysawh
 

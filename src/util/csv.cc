@@ -57,13 +57,6 @@ std::string EscapeField(const std::string& field) {
 
 }  // namespace
 
-Result<int> CsvDocument::ColumnIndex(const std::string& name) const {
-  for (size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return static_cast<int>(i);
-  }
-  return Status::NotFound("CSV column not found: " + name);
-}
-
 Result<CsvDocument> ParseCsv(const std::string& content) {
   CsvDocument doc;
   std::istringstream in(content);

@@ -12,9 +12,6 @@ namespace mysawh {
 struct CsvDocument {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
-
-  /// Index of a header column, or error if absent.
-  Result<int> ColumnIndex(const std::string& name) const;
 };
 
 /// Reads a CSV file (comma-separated, first row is the header, RFC-4180

@@ -70,14 +70,4 @@ bool FlagParser::GetBool(const std::string& key, bool default_value) const {
   return it->second == "true" || it->second == "1";
 }
 
-std::vector<std::string> FlagParser::Keys() const {
-  std::vector<std::string> keys;
-  keys.reserve(flags_.size());
-  for (const auto& [key, value] : flags_) {
-    (void)value;
-    keys.push_back(key);
-  }
-  return keys;
-}
-
 }  // namespace mysawh

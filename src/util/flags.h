@@ -36,9 +36,6 @@ class FlagParser {
   /// Bool flag: present without value or with "true"/"1" = true.
   bool GetBool(const std::string& key, bool default_value = false) const;
 
-  /// Keys that were provided.
-  std::vector<std::string> Keys() const;
-
  private:
   std::string command_;
   std::vector<std::string> positional_;

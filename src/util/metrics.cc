@@ -48,12 +48,6 @@ int64_t HistogramQuantileFromBuckets(const int64_t* buckets, int num_buckets,
   return max_micros;
 }
 
-int64_t LatencyHistogram::ApproxQuantileMicros(double q) const {
-  int64_t buckets[kNumBuckets];
-  for (int b = 0; b < kNumBuckets; ++b) buckets[b] = BucketCount(b);
-  return HistogramQuantileFromBuckets(buckets, kNumBuckets, MaxMicros(), q);
-}
-
 void LatencyHistogram::Reset() {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);

@@ -89,13 +89,6 @@ class LatencyHistogram {
   }
   void Reset();
 
-  /// Approximate `q`-quantile (q in (0, 1]) in microseconds, resolved to
-  /// the upper edge of the bucket holding the rank-ceil(q*count) sample
-  /// (the unbounded last bucket reports the recorded max). Returns 0 on an
-  /// empty histogram. See HistogramQuantileFromBuckets for the exact
-  /// semantics; p50/p90/p99 in the `report` dashboard come from here.
-  int64_t ApproxQuantileMicros(double q) const;
-
  private:
   std::atomic<int64_t> buckets_[kNumBuckets] = {};
   std::atomic<int64_t> count_{0};
@@ -103,9 +96,9 @@ class LatencyHistogram {
   std::atomic<int64_t> max_{0};
 };
 
-/// Quantile extraction from a power-of-two bucket layout, shared by
-/// LatencyHistogram::ApproxQuantileMicros and artifact readers (the
-/// `report` dashboard re-derives percentiles from snapshot bucket arrays).
+/// Quantile extraction from a power-of-two bucket layout, for artifact
+/// readers (the `report` dashboard re-derives percentiles from snapshot
+/// bucket arrays).
 ///
 /// Semantics, chosen to be exactly unit-testable: the target rank is
 /// ceil(q * count) (1-based); the answer is the representative value of the

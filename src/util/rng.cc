@@ -97,13 +97,6 @@ double Rng::Normal(double mean, double sd) {
   return mean + sd * Normal();
 }
 
-double Rng::Exponential(double lambda) {
-  MYSAWH_CHECK_GT(lambda, 0.0);
-  double u = Uniform();
-  while (u <= 0.0) u = Uniform();
-  return -std::log(u) / lambda;
-}
-
 int64_t Rng::Poisson(double lambda) {
   MYSAWH_CHECK_GE(lambda, 0.0);
   if (lambda == 0.0) return 0;
@@ -152,13 +145,6 @@ double Rng::Beta(double a, double b) {
   const double x = Gamma(a, 1.0);
   const double y = Gamma(b, 1.0);
   return x / (x + y);
-}
-
-int64_t Rng::Binomial(int64_t n, double p) {
-  MYSAWH_CHECK_GE(n, 0);
-  int64_t count = 0;
-  for (int64_t i = 0; i < n; ++i) count += Bernoulli(p) ? 1 : 0;
-  return count;
 }
 
 void Rng::SampleWithoutReplacement(int64_t n, int64_t k,

@@ -38,8 +38,6 @@ class Rng {
   double Normal();
   /// Normal with the given mean and standard deviation (sd >= 0).
   double Normal(double mean, double sd);
-  /// Exponential with rate `lambda` > 0.
-  double Exponential(double lambda);
   /// Poisson with mean `lambda` >= 0 (inversion for small lambda, normal
   /// approximation with rounding for lambda > 50).
   int64_t Poisson(double lambda);
@@ -47,8 +45,6 @@ class Rng {
   double Gamma(double shape, double scale);
   /// Beta(a, b) with a, b > 0, via two gamma draws.
   double Beta(double a, double b);
-  /// Binomial(n, p) by summing Bernoulli draws (n is small in this library).
-  int64_t Binomial(int64_t n, double p);
 
   /// Fisher–Yates shuffle of `values`.
   template <typename T>

@@ -13,18 +13,6 @@ double Mean(const std::vector<double>& values) {
   return sum / static_cast<double>(values.size());
 }
 
-double Variance(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double m = Mean(values);
-  double ss = 0.0;
-  for (double v : values) ss += (v - m) * (v - m);
-  return ss / static_cast<double>(values.size() - 1);
-}
-
-double StdDev(const std::vector<double>& values) {
-  return std::sqrt(Variance(values));
-}
-
 Result<double> Quantile(const std::vector<double>& values, double q) {
   if (values.empty()) {
     return Status::InvalidArgument("Quantile of empty vector");
@@ -39,39 +27,6 @@ Result<double> Quantile(const std::vector<double>& values, double q) {
   const auto hi = static_cast<size_t>(std::ceil(pos));
   const double frac = pos - std::floor(pos);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-Result<double> Median(const std::vector<double>& values) {
-  return Quantile(values, 0.5);
-}
-
-Result<double> PearsonCorrelation(const std::vector<double>& x,
-                                  const std::vector<double>& y) {
-  if (x.size() != y.size()) {
-    return Status::InvalidArgument("correlation inputs differ in length");
-  }
-  if (x.size() < 2) {
-    return Status::InvalidArgument("correlation needs at least 2 points");
-  }
-  const double mx = Mean(x);
-  const double my = Mean(y);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-std::string BoxStats::ToString() const {
-  std::ostringstream os;
-  os << "min=" << min << " q1=" << q1 << " med=" << median << " q3=" << q3
-     << " max=" << max << " outliers=" << outliers.size();
-  return os.str();
 }
 
 Result<BoxStats> ComputeBoxStats(const std::vector<double>& values) {
@@ -131,19 +86,5 @@ Result<Histogram> ComputeHistogram(const std::vector<double>& values,
   }
   return hist;
 }
-
-void RunningStats::Add(double x) {
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace mysawh

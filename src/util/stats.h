@@ -12,36 +12,20 @@ namespace mysawh {
 /// Arithmetic mean. Returns 0 for an empty input.
 double Mean(const std::vector<double>& values);
 
-/// Unbiased sample variance (n - 1 denominator). Returns 0 for n < 2.
-double Variance(const std::vector<double>& values);
-
-/// Sample standard deviation.
-double StdDev(const std::vector<double>& values);
-
 /// Linear-interpolated quantile (type-7, the numpy/R default). `q` in [0, 1].
 /// The input need not be sorted. Fails on empty input or q outside [0, 1].
 Result<double> Quantile(const std::vector<double>& values, double q);
-
-/// Median (0.5 quantile).
-Result<double> Median(const std::vector<double>& values);
-
-/// Pearson correlation of two equal-length vectors; 0 if either is constant.
-Result<double> PearsonCorrelation(const std::vector<double>& x,
-                                  const std::vector<double>& y);
 
 /// Five-number summary plus Tukey outliers, the statistics a box-and-whisker
 /// plot is drawn from (used to reproduce the paper's Fig 5).
 struct BoxStats {
   double min = 0;           ///< Smallest non-outlier value (lower whisker).
   double q1 = 0;            ///< First quartile.
-  double median = 0;        ///< Median.
+  double median = 0;        ///< 0.5 quantile.
   double q3 = 0;            ///< Third quartile.
   double max = 0;           ///< Largest non-outlier value (upper whisker).
   double iqr = 0;           ///< Interquartile range q3 - q1.
   std::vector<double> outliers;  ///< Values beyond 1.5 * IQR from the box.
-
-  /// Compact single-line rendering.
-  std::string ToString() const;
 };
 
 /// Computes box-plot statistics with the Tukey 1.5*IQR fence.
@@ -59,22 +43,6 @@ struct Histogram {
 /// Requires at least two strictly increasing edges.
 Result<Histogram> ComputeHistogram(const std::vector<double>& values,
                                    const std::vector<double>& edges);
-
-/// Incremental mean/variance accumulator (Welford's algorithm).
-class RunningStats {
- public:
-  void Add(double x);
-  int64_t count() const { return count_; }
-  double mean() const { return mean_; }
-  /// Unbiased sample variance; 0 for count < 2.
-  double variance() const;
-  double stddev() const;
-
- private:
-  int64_t count_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
-};
 
 }  // namespace mysawh
 

@@ -55,15 +55,5 @@ TEST(AggregationTest, InvalidPeriod) {
       AggregateByPeriod(TimeSeries({1.0}), -2, AggregateOp::kMean).ok());
 }
 
-TEST(AggregationTest, DailyToMonthlyMeanUses30Days) {
-  std::vector<double> days(60, 0.0);
-  for (int i = 0; i < 30; ++i) days[static_cast<size_t>(i)] = 1.0;
-  for (int i = 30; i < 60; ++i) days[static_cast<size_t>(i)] = 5.0;
-  const TimeSeries monthly = DailyToMonthlyMean(TimeSeries(days)).value();
-  ASSERT_EQ(monthly.size(), 2);
-  EXPECT_DOUBLE_EQ(monthly.at(0), 1.0);
-  EXPECT_DOUBLE_EQ(monthly.at(1), 5.0);
-}
-
 }  // namespace
 }  // namespace mysawh

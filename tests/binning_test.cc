@@ -9,10 +9,13 @@
 #include <vector>
 
 #include "gbt/params.h"
+#include "reference_binning.h"
 #include "util/rng.h"
 
 namespace mysawh::gbt {
 namespace {
+
+using reference::BinFor;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -28,7 +31,7 @@ Dataset MakeOrdinalData() {
 
 TEST(BinningTest, OrdinalFeaturesGetOneBinPerLevel) {
   const Dataset ds = MakeOrdinalData();
-  const FeatureBins bins = FeatureBins::Build(ds, 64).value();
+  const FeatureBins bins = BuildBinned(ds, 64).value().bins;
   EXPECT_EQ(bins.num_bins(0), 5);
   // Cut between levels is the midpoint.
   EXPECT_DOUBLE_EQ(bins.cut(0, 0), 1.5);
@@ -38,14 +41,14 @@ TEST(BinningTest, OrdinalFeaturesGetOneBinPerLevel) {
 
 TEST(BinningTest, WideFeatureCappedAtMaxBins) {
   const Dataset ds = MakeOrdinalData();
-  const FeatureBins bins = FeatureBins::Build(ds, 16).value();
+  const FeatureBins bins = BuildBinned(ds, 16).value().bins;
   EXPECT_LE(bins.num_bins(1), 16);
   EXPECT_GE(bins.num_bins(1), 8);
 }
 
 TEST(BinningTest, CutsStrictlyIncrease) {
   const Dataset ds = MakeOrdinalData();
-  const FeatureBins bins = FeatureBins::Build(ds, 16).value();
+  const FeatureBins bins = BuildBinned(ds, 16).value().bins;
   for (int64_t f = 0; f < bins.num_features(); ++f) {
     for (int b = 1; b < bins.num_bins(f); ++b) {
       EXPECT_GT(bins.cut(f, b), bins.cut(f, b - 1));
@@ -55,38 +58,38 @@ TEST(BinningTest, CutsStrictlyIncrease) {
 
 TEST(BinningTest, BinForRespectsBoundaries) {
   const Dataset ds = MakeOrdinalData();
-  const FeatureBins bins = FeatureBins::Build(ds, 64).value();
-  EXPECT_EQ(bins.BinFor(0, 1.0), 0);
-  EXPECT_EQ(bins.BinFor(0, 1.49), 0);
-  EXPECT_EQ(bins.BinFor(0, 1.5), 1);  // boundary goes right
-  EXPECT_EQ(bins.BinFor(0, 5.0), 4);
-  EXPECT_EQ(bins.BinFor(0, 99.0), 4);   // beyond max clamps to last bin
-  EXPECT_EQ(bins.BinFor(0, -99.0), 0);  // below min clamps to first bin
+  const FeatureBins bins = BuildBinned(ds, 64).value().bins;
+  EXPECT_EQ(BinFor(bins, 0, 1.0), 0);
+  EXPECT_EQ(BinFor(bins, 0, 1.49), 0);
+  EXPECT_EQ(BinFor(bins, 0, 1.5), 1);  // boundary goes right
+  EXPECT_EQ(BinFor(bins, 0, 5.0), 4);
+  EXPECT_EQ(BinFor(bins, 0, 99.0), 4);   // beyond max clamps to last bin
+  EXPECT_EQ(BinFor(bins, 0, -99.0), 0);  // below min clamps to first bin
 }
 
 TEST(BinningTest, MissingMapsToSentinel) {
   const Dataset ds = MakeOrdinalData();
-  const FeatureBins bins = FeatureBins::Build(ds, 64).value();
-  EXPECT_EQ(bins.BinFor(0, kNaN), kMissingBin);
+  const FeatureBins bins = BuildBinned(ds, 64).value().bins;
+  EXPECT_EQ(BinFor(bins, 0, kNaN), kMissingBin);
 }
 
 TEST(BinningTest, AllMissingColumn) {
   Dataset ds = Dataset::Create({"empty"});
   ASSERT_TRUE(ds.AddRow({kNaN}, 0.0).ok());
   ASSERT_TRUE(ds.AddRow({kNaN}, 1.0).ok());
-  const FeatureBins bins = FeatureBins::Build(ds, 8).value();
+  const FeatureBins bins = BuildBinned(ds, 8).value().bins;
   EXPECT_EQ(bins.num_bins(0), 1);
-  EXPECT_EQ(bins.BinFor(0, kNaN), kMissingBin);
+  EXPECT_EQ(BinFor(bins, 0, kNaN), kMissingBin);
 }
 
 TEST(BinningTest, RejectsTooFewBins) {
   const Dataset ds = MakeOrdinalData();
-  EXPECT_FALSE(FeatureBins::Build(ds, 1).ok());
+  EXPECT_FALSE(BuildBinned(ds, 1).ok());
 }
 
 TEST(BinningTest, RejectsMoreBinsThanAByteHolds) {
   // Bins are bytes with 0xFF reserved for missing: 254 is the most a
-  // feature may have, for the parameters and both builders alike.
+  // feature may have, for the parameters and BuildBinned alike.
   const Dataset ds = MakeOrdinalData();
   GbtParams params;
   params.max_bins = kMaxBins;
@@ -98,8 +101,6 @@ TEST(BinningTest, RejectsMoreBinsThanAByteHolds) {
     EXPECT_EQ(params.Validate().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(BuildBinned(ds, max_bins).status().code(),
               StatusCode::kInvalidArgument);
-    EXPECT_EQ(FeatureBins::Build(ds, max_bins).status().code(),
-              StatusCode::kInvalidArgument);
   }
 }
 
@@ -108,12 +109,13 @@ TEST(BinningTest, BinnedMatrixMatchesBinFor) {
   ASSERT_TRUE(ds.AddRow({1.0, 10.0}, 0.0).ok());
   ASSERT_TRUE(ds.AddRow({kNaN, 20.0}, 0.0).ok());
   ASSERT_TRUE(ds.AddRow({3.0, kNaN}, 0.0).ok());
-  const FeatureBins bins = FeatureBins::Build(ds, 8).value();
-  const BinnedMatrix matrix = BinnedMatrix::Build(ds, bins);
+  const BinnedData binned = BuildBinned(ds, 8).value();
+  const FeatureBins& bins = binned.bins;
+  const BinnedMatrix& matrix = binned.matrix;
   EXPECT_EQ(matrix.num_rows(), 3);
   for (int64_t r = 0; r < 3; ++r) {
     for (int64_t f = 0; f < 2; ++f) {
-      EXPECT_EQ(matrix.At(r, f), bins.BinFor(f, ds.At(r, f)))
+      EXPECT_EQ(matrix.At(r, f), BinFor(bins, f, ds.At(r, f)))
           << "row " << r << " feature " << f;
     }
   }
@@ -141,8 +143,8 @@ Dataset MakeEdgeCaseData(int64_t rows, uint64_t seed) {
 }
 
 /// BuildBinned's one-pass radix sort and interleaved search must give the
-/// cuts and cells of the two-step reference builders, bit for bit, up to
-/// the largest bin count and on both sides of the radix sort's 128-value
+/// cuts and cells of the plain reference quantizer, bit for bit, up to the
+/// largest bin count and on both sides of the radix sort's 128-value
 /// fallback.
 TEST(BinningTest, FusedBuildMatchesReference) {
   for (const int64_t rows : {7, 129, 3000}) {
@@ -151,18 +153,22 @@ TEST(BinningTest, FusedBuildMatchesReference) {
       SCOPED_TRACE(::testing::Message()
                    << "rows " << rows << " max_bins " << max_bins);
       const BinnedData fused = BuildBinned(ds, max_bins).value();
-      const FeatureBins bins = FeatureBins::Build(ds, max_bins).value();
-      const BinnedMatrix matrix = BinnedMatrix::Build(ds, bins);
-      ASSERT_EQ(fused.bins.num_features(), bins.num_features());
+      const reference::ReferenceBinned ref =
+          reference::ReferenceBuildBinned(ds, max_bins);
+      ASSERT_EQ(fused.bins.num_features(),
+                static_cast<int64_t>(ref.cuts.size()));
       for (int64_t f = 0; f < ds.num_features(); ++f) {
-        ASSERT_EQ(fused.bins.num_bins(f), bins.num_bins(f)) << "feature " << f;
-        for (int b = 0; b < bins.num_bins(f); ++b) {
+        const std::vector<double>& cuts = ref.cuts[static_cast<size_t>(f)];
+        ASSERT_EQ(static_cast<size_t>(fused.bins.num_bins(f)), cuts.size())
+            << "feature " << f;
+        for (int b = 0; b < fused.bins.num_bins(f); ++b) {
           EXPECT_EQ(std::bit_cast<uint64_t>(fused.bins.cut(f, b)),
-                    std::bit_cast<uint64_t>(bins.cut(f, b)))
+                    std::bit_cast<uint64_t>(cuts[static_cast<size_t>(b)]))
               << "feature " << f << " cut " << b;
         }
         for (int64_t r = 0; r < rows; ++r) {
-          EXPECT_EQ(fused.matrix.At(r, f), matrix.At(r, f))
+          EXPECT_EQ(fused.matrix.At(r, f),
+                    ref.cells[static_cast<size_t>(r * ds.num_features() + f)])
               << "feature " << f << " row " << r;
         }
       }
@@ -181,9 +187,9 @@ TEST_P(BinningOrderTest, BinsAreMonotoneInValue) {
     ASSERT_TRUE(
         ds.AddRow({std::sin(static_cast<double>(i)) * 10.0}, 0.0).ok());
   }
-  const FeatureBins bins = FeatureBins::Build(ds, max_bins).value();
+  const FeatureBins bins = BuildBinned(ds, max_bins).value().bins;
   for (double a = -10.0; a < 10.0; a += 0.5) {
-    EXPECT_LE(bins.BinFor(0, a), bins.BinFor(0, a + 0.5));
+    EXPECT_LE(BinFor(bins, 0, a), BinFor(bins, 0, a + 0.5));
   }
 }
 

@@ -117,6 +117,14 @@ test "$code" -eq 2 || { echo "negative num_trees must exit 2, got $code" >&2; ex
 code_of "$CLI" predict --model wide_thresholds.model --data four.csv
 test "$code" -eq 2 || { echo "300 thresholds on one feature must exit 2, got $code" >&2; exit 1; }
 
+# --- failpoints arm from the environment ----------------------------------
+# A failed save is a runtime failure (exit 1) that leaves no model file.
+code=0
+MYSAWH_FAILPOINTS="model_save/rename=once" "$CLI" train --data smoke_dd_fi.csv \
+  --num-trees 5 --out never.model > /dev/null 2>&1 || code=$?
+test "$code" -eq 1 || { echo "failed model save must exit 1, got $code" >&2; exit 1; }
+test ! -f never.model || { echo "failed model save left never.model" >&2; exit 1; }
+
 # --- study checkpoint/resume ----------------------------------------------
 # Not run here (a full 12-cell study is too slow for the smoke test); the
 # resume contract is covered by tests/checkpoint_resume_test.cc, and the

@@ -41,12 +41,6 @@ TEST(CsvTest, EmptyContentFails) {
   EXPECT_FALSE(ParseCsv("").ok());
 }
 
-TEST(CsvTest, ColumnIndex) {
-  const auto doc = ParseCsv("x,y,z\n1,2,3\n").value();
-  EXPECT_EQ(doc.ColumnIndex("y").value(), 1);
-  EXPECT_FALSE(doc.ColumnIndex("w").ok());
-}
-
 TEST(CsvTest, SerializeQuotesWhenNeeded) {
   CsvDocument doc;
   doc.header = {"a", "b"};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -195,6 +196,27 @@ TEST(DriftBaselineTest, ParserRejectsMalformedArtifacts) {
       "\"edges\":[0.7,0.2],\"expected\":[0.3,0.3,0.4]}]}");
   ASSERT_FALSE(unsorted.ok());
   EXPECT_EQ(unsorted.status().code(), StatusCode::kDataLoss);
+  // Null edges, null or out-of-range proportions and missing fractions,
+  // and edges without proportions are corrupt: evaluating them would read
+  // a NaN PSI, a false alert, or a KS above 1.
+  for (const char* feature : {
+           "\"missing\":0,\"edges\":[0.5],\"expected\":[null,null]",
+           "\"missing\":0,\"edges\":[null],\"expected\":[0.5,0.5]",
+           "\"missing\":7,\"edges\":[0.5],\"expected\":[-3,4]",
+           "\"missing\":0,\"edges\":[0.5],\"expected\":[-3,4]",
+           "\"missing\":7,\"edges\":[0.5],\"expected\":[0.5,0.5]",
+           "\"missing\":-0.1,\"edges\":[0.5],\"expected\":[0.5,0.5]",
+           "\"missing\":null,\"edges\":[0.5],\"expected\":[0.5,0.5]",
+           "\"missing\":0,\"edges\":[0.5],\"expected\":[]",
+       }) {
+    SCOPED_TRACE(feature);
+    const auto corrupt = ParseDriftBaseline(
+        std::string("{\"schema\":\"mysawh-drift-baseline v1\",\"num_bins\":2,"
+                    "\"features\":[{\"name\":\"x\",\"rows\":10,") +
+        feature + "}]}");
+    ASSERT_FALSE(corrupt.ok());
+    EXPECT_EQ(corrupt.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(DriftRuntimeTest, WindowsEvaluateAndAlertsLatchOncePerExcursion) {
@@ -278,6 +300,149 @@ TEST(DriftRuntimeTest, SampledObservationAdmitsRowsByContentKey) {
   // The window saw only the admitted rows.
   EXPECT_NE(runtime.LastReportJson().find("\"rows\":4"), std::string::npos);
   runtime.Disable();
+}
+
+/// An 8-feature baseline with 5-7 integer edges per feature (so integer
+/// values tie on edges), uneven expected proportions, some missingness,
+/// and a prediction baseline.
+DriftBaseline WideBaseline() {
+  DriftBaseline baseline;
+  baseline.num_bins = 8;
+  for (int f = 0; f < 8; ++f) {
+    FeatureBaseline feature;
+    feature.name = "f";
+    feature.name += std::to_string(f);
+    const int num_edges = 5 + f % 3;
+    for (int e = 0; e < num_edges; ++e) {
+      feature.edges.push_back(static_cast<double>(e - num_edges / 2 + f % 2));
+    }
+    double total = 0.0;
+    for (int b = 0; b <= num_edges; ++b) {
+      feature.expected.push_back(1.0 + static_cast<double>((b * 7 + f) % 5));
+      total += feature.expected.back();
+    }
+    for (double& p : feature.expected) p /= total;
+    feature.missing_expected = 0.01 * static_cast<double>(f);
+    feature.rows = 1000;
+    baseline.features.push_back(feature);
+  }
+  baseline.prediction.name = "__prediction__";
+  baseline.prediction.edges = {-1.0, 0.0, 0.5, 1.0, 2.0};
+  baseline.prediction.expected = {0.1, 0.2, 0.2, 0.2, 0.2, 0.1};
+  baseline.prediction.rows = 1000;
+  return baseline;
+}
+
+/// Rows [begin, end) of a row-major matrix as a dataset.
+Dataset RowsOf(const std::vector<std::vector<double>>& rows, size_t begin,
+               size_t end) {
+  std::vector<std::string> names;
+  for (int f = 0; f < 8; ++f) {
+    names.emplace_back("f");
+    names.back() += std::to_string(f);
+  }
+  Dataset data = Dataset::Create(names);
+  for (size_t r = begin; r < end; ++r) {
+    EXPECT_TRUE(data.AddRow(rows[r], 0.0).ok());
+  }
+  return data;
+}
+
+TEST(DriftRuntimeTest, WindowReportsEqualEvaluateDrift) {
+  // A deterministic stream: integer and half-integer values around the
+  // edges (ties included), about 6% NaN, predictions that tie on the
+  // prediction edges.
+  constexpr size_t kRows = 1013;
+  std::vector<std::vector<double>> rows(kRows, std::vector<double>(8));
+  std::vector<double> preds(kRows);
+  uint64_t state = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (size_t r = 0; r < kRows; ++r) {
+    for (double& v : rows[r]) {
+      const uint64_t u = next();
+      v = u % 17 == 0 ? kNaN : static_cast<double>(u % 13) * 0.5 - 3.0;
+    }
+    preds[r] = static_cast<double>(next() % 9) * 0.5 - 1.5;
+  }
+  const DriftBaseline baseline = WideBaseline();
+  DriftThresholds thresholds;
+  thresholds.psi = 0.3;
+  const auto expected_json = [&](const std::vector<size_t>& picked,
+                                 size_t begin, size_t end) {
+    std::vector<std::vector<double>> window_rows;
+    std::vector<double> window_preds;
+    for (size_t i = begin; i < end; ++i) {
+      window_rows.push_back(rows[picked[i]]);
+      window_preds.push_back(preds[picked[i]]);
+    }
+    return DriftReportJson(
+        EvaluateDrift(baseline, RowsOf(window_rows, 0, window_rows.size()),
+                      window_preds, thresholds)
+            .value());
+  };
+  // Small batches complete at most one window each, so every full window
+  // is checked; large ones hold whole windows and check the last of them.
+  const std::vector<std::vector<size_t>> batch_patterns = {
+      {7, 45, 1, 89, 31, 60, 13}, {131, 300, 2, 517, 96}};
+  DriftMonitorRuntime& runtime = DriftMonitorRuntime::Global();
+  for (const int64_t rate : {int64_t{1}, int64_t{3}}) {
+    std::vector<size_t> picked;  // Admitted rows, in stream order.
+    for (size_t r = 0; r < kRows; ++r) {
+      if (AuditSampled(AuditSampleKey(rows[r].data(), 8), rate)) {
+        picked.push_back(r);
+      }
+    }
+    for (const int64_t window : {int64_t{96}, int64_t{250}}) {
+      const auto full = static_cast<int64_t>(picked.size()) / window;
+      ASSERT_GT(full, 0);
+      ASSERT_GT(static_cast<int64_t>(picked.size()) % window, 0);
+      for (size_t p = 0; p < batch_patterns.size(); ++p) {
+        SCOPED_TRACE(::testing::Message() << "rate " << rate << " window "
+                                          << window << " pattern " << p);
+        DriftMonitorOptions options;
+        options.window = window;
+        options.sample_rate = rate;
+        options.thresholds = thresholds;
+        ASSERT_TRUE(runtime.Configure(baseline, options).ok());
+        const int64_t windows_before = runtime.windows_evaluated();
+        int64_t checked = 0;
+        int64_t compared = 0;
+        size_t begin = 0;
+        for (size_t b = 0; begin < kRows; ++b) {
+          const std::vector<size_t>& sizes = batch_patterns[p];
+          const size_t end = std::min(kRows, begin + sizes[b % sizes.size()]);
+          runtime.ObserveBatch(
+              RowsOf(rows, begin, end),
+              std::vector<double>(preds.begin() + static_cast<int64_t>(begin),
+                                  preds.begin() + static_cast<int64_t>(end)));
+          begin = end;
+          const int64_t done = runtime.windows_evaluated() - windows_before;
+          if (done > checked) {
+            const auto last = static_cast<size_t>(done - 1);
+            EXPECT_EQ(runtime.LastReportJson(),
+                      expected_json(picked, last * static_cast<size_t>(window),
+                                    (last + 1) * static_cast<size_t>(window)));
+            ++compared;
+            checked = done;
+          }
+        }
+        EXPECT_EQ(runtime.windows_evaluated() - windows_before, full);
+        if (p == 0) {
+          EXPECT_EQ(compared, full);
+        }
+        runtime.Flush();
+        EXPECT_EQ(runtime.windows_evaluated() - windows_before, full + 1);
+        EXPECT_EQ(runtime.LastReportJson(),
+                  expected_json(picked, static_cast<size_t>(full * window),
+                                picked.size()));
+      }
+    }
+  }
 }
 
 TEST(DriftRuntimeTest, ConfigureValidation) {

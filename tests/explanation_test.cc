@@ -116,22 +116,6 @@ TEST(ExplanationTest, ExplainRowValidatesArguments) {
   EXPECT_FALSE(ExplainRow(shap, narrow, 0).ok());
 }
 
-TEST(ExplanationTest, GlobalImportanceOrdersFeatures) {
-  const Dataset data = MakeData(1200, 4);
-  const GbtModel model = TrainModel(data);
-  const TreeShap shap(&model);
-  const Dataset probe = MakeData(200, 5);
-  const auto importance = ComputeGlobalImportance(shap, probe).value();
-  ASSERT_EQ(importance.features.size(), 4u);
-  EXPECT_EQ(importance.features.front(), "big");
-  // Mean |SHAP| sorted descending.
-  for (size_t i = 1; i < importance.mean_abs_shap.size(); ++i) {
-    EXPECT_GE(importance.mean_abs_shap[i - 1], importance.mean_abs_shap[i]);
-  }
-  // The pure-noise feature ranks last (or ties at ~0).
-  EXPECT_LT(importance.mean_abs_shap.back(), 0.1);
-}
-
 TEST(ExplanationTest, DependenceCurveRecoversStepThreshold) {
   const Dataset data = MakeData(2500, 6);
   const GbtModel model = TrainModel(data);
@@ -154,26 +138,6 @@ TEST(ExplanationTest, DependenceCurveUnknownFeatureFails) {
   const GbtModel model = TrainModel(data);
   const TreeShap shap(&model);
   EXPECT_FALSE(ComputeDependenceCurve(shap, data, "nope").ok());
-}
-
-TEST(ExplanationTest, ShapSummaryDirectionsAndOrdering) {
-  const Dataset data = MakeData(1200, 9);
-  const GbtModel model = TrainModel(data);
-  const TreeShap shap(&model);
-  const auto summary = ComputeShapSummary(shap, data).value();
-  ASSERT_EQ(summary.features.size(), 4u);
-  EXPECT_EQ(summary.features.front(), "big");
-  // "big" has a positive effect: larger value -> larger prediction.
-  EXPECT_GT(summary.direction.front(), 0.6);
-  // Importances are sorted descending.
-  for (size_t i = 1; i < summary.mean_abs_shap.size(); ++i) {
-    EXPECT_GE(summary.mean_abs_shap[i - 1], summary.mean_abs_shap[i]);
-  }
-  const std::string rendered = RenderShapSummary(summary, 3);
-  EXPECT_NE(rendered.find("big"), std::string::npos);
-  EXPECT_NE(rendered.find('#'), std::string::npos);
-  // Top-3 rendering omits the 4th feature.
-  EXPECT_EQ(rendered.find(summary.features[3]), std::string::npos);
 }
 
 TEST(ExplanationTest, DependenceCurveWithoutSignChangeHasNoThreshold) {

@@ -181,9 +181,8 @@ TEST(DeterminismTest, FlatShapBitIdenticalToReferenceAcrossThreadCounts) {
   const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   ASSERT_NE(model.flat_forest(), nullptr);
   const explain::TreeShap shap(&model);
-  // A handful of rows keeps ShapBatch on the per-row recursion; several
-  // hundred crosses its pattern-table threshold — both batch strategies
-  // must match the reference exactly.
+  // A handful of rows and several hundred must both match the reference
+  // exactly.
   for (int64_t rows : {12, 300}) {
     const Dataset probe = MakeData(rows);
     std::vector<std::vector<double>> reference;

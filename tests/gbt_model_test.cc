@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "core/audit_log.h"
+#include "reference_walkers.h"
 #include "util/rng.h"
 #include "util/serialization.h"
 #include "util/string_util.h"
@@ -402,7 +403,7 @@ TEST(GbtModelTest, TreesSatisfyStructuralInvariants) {
   const GbtModel model = GbtModel::Train(train, params).value();
   for (const auto& tree : model.trees()) {
     EXPECT_TRUE(tree.Validate().ok());
-    EXPECT_LE(tree.MaxDepth(), params.max_depth);
+    EXPECT_LE(reference::MaxDepth(tree), params.max_depth);
   }
 }
 
@@ -436,7 +437,7 @@ TEST_P(DepthSweepTest, RespectsMaxDepth) {
   params.max_depth = GetParam();
   const GbtModel model = GbtModel::Train(train, params).value();
   for (const auto& tree : model.trees()) {
-    EXPECT_LE(tree.MaxDepth(), GetParam());
+    EXPECT_LE(reference::MaxDepth(tree), GetParam());
   }
   const double row[] = {0.5, 0.5};
   EXPECT_TRUE(std::isfinite(model.PredictRow(row)));

@@ -16,6 +16,7 @@
 
 #include "gbt/binning.h"
 #include "gbt/gbt_model.h"
+#include "reference_binning.h"
 
 namespace mysawh::gbt {
 namespace {
@@ -222,7 +223,7 @@ void RefScanFeature(const Dataset& data, const FeatureBins& bins, int feature,
   double parent_g = 0.0, parent_h = 0.0;
   int64_t parent_c = 0;
   for (int64_t r = 0; r < data.num_rows(); ++r) {
-    const uint16_t b = bins.BinFor(feature, data.At(r, feature));
+    const uint16_t b = reference::BinFor(bins, feature, data.At(r, feature));
     HistEntry& e = b == kMissingBin ? miss : slots[b];
     e.sum_g += gpairs[static_cast<size_t>(r)].grad;
     e.sum_h += gpairs[static_cast<size_t>(r)].hess;
@@ -288,7 +289,7 @@ TEST(HistogramTest, HistSplitDecisionMatchesReferenceScan) {
   ASSERT_EQ(tree.num_nodes(), 3);
   const TreeNode& root = tree.node(0);
 
-  const FeatureBins bins = FeatureBins::Build(data, params.max_bins).value();
+  const FeatureBins bins = BuildBinned(data, params.max_bins).value().bins;
   const std::vector<GradientPair> gpairs = MakeGpairs(data);
   RefSplit ref;
   for (int f = 0; f < 4; ++f) {

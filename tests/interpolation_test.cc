@@ -11,7 +11,7 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(InterpolationTest, LinearFillInterior) {
   TimeSeries s({1.0, kNaN, kNaN, 4.0});
-  const auto report = InterpolateMaxGap(&s, 5).value();
+  const auto report = ImputeMaxGap(&s, 5, ImputationMethod::kLinear).value();
   EXPECT_EQ(report.filled, 2);
   EXPECT_EQ(report.left_missing, 0);
   EXPECT_DOUBLE_EQ(s.at(1), 2.0);
@@ -20,7 +20,7 @@ TEST(InterpolationTest, LinearFillInterior) {
 
 TEST(InterpolationTest, RespectsMaxGap) {
   TimeSeries s({1.0, kNaN, kNaN, kNaN, 5.0});
-  const auto report = InterpolateMaxGap(&s, 2).value();
+  const auto report = ImputeMaxGap(&s, 2, ImputationMethod::kLinear).value();
   EXPECT_EQ(report.filled, 0);
   EXPECT_EQ(report.left_missing, 3);
   EXPECT_TRUE(s.IsMissing(2));
@@ -28,51 +28,43 @@ TEST(InterpolationTest, RespectsMaxGap) {
 
 TEST(InterpolationTest, GapExactlyMaxIsFilled) {
   TimeSeries s({1.0, kNaN, kNaN, kNaN, 5.0});
-  const auto report = InterpolateMaxGap(&s, 3).value();
+  const auto report = ImputeMaxGap(&s, 3, ImputationMethod::kLinear).value();
   EXPECT_EQ(report.filled, 3);
   EXPECT_DOUBLE_EQ(s.at(2), 3.0);
 }
 
 TEST(InterpolationTest, MaxGapZeroDisables) {
   TimeSeries s({1.0, kNaN, 3.0});
-  const auto report = InterpolateMaxGap(&s, 0).value();
+  const auto report = ImputeMaxGap(&s, 0, ImputationMethod::kLinear).value();
   EXPECT_EQ(report.filled, 0);
   EXPECT_TRUE(s.IsMissing(1));
 }
 
 TEST(InterpolationTest, LeadingGapCarriesBackward) {
   TimeSeries s({kNaN, kNaN, 3.0});
-  ASSERT_TRUE(InterpolateMaxGap(&s, 5).ok());
+  ASSERT_TRUE(ImputeMaxGap(&s, 5, ImputationMethod::kLinear).ok());
   EXPECT_DOUBLE_EQ(s.at(0), 3.0);
   EXPECT_DOUBLE_EQ(s.at(1), 3.0);
 }
 
 TEST(InterpolationTest, TrailingGapCarriesForward) {
   TimeSeries s({3.0, kNaN, kNaN});
-  ASSERT_TRUE(InterpolateMaxGap(&s, 5).ok());
+  ASSERT_TRUE(ImputeMaxGap(&s, 5, ImputationMethod::kLinear).ok());
   EXPECT_DOUBLE_EQ(s.at(1), 3.0);
   EXPECT_DOUBLE_EQ(s.at(2), 3.0);
 }
 
 TEST(InterpolationTest, AllMissingStaysMissing) {
   TimeSeries s({kNaN, kNaN});
-  const auto report = InterpolateMaxGap(&s, 5).value();
+  const auto report = ImputeMaxGap(&s, 5, ImputationMethod::kLinear).value();
   EXPECT_EQ(report.filled, 0);
   EXPECT_EQ(report.left_missing, 2);
 }
 
 TEST(InterpolationTest, InvalidArguments) {
   TimeSeries s({1.0});
-  EXPECT_FALSE(InterpolateMaxGap(nullptr, 5).ok());
-  EXPECT_FALSE(InterpolateMaxGap(&s, -1).ok());
-}
-
-TEST(InterpolationTest, FillMissingConstant) {
-  TimeSeries s({1.0, kNaN, kNaN});
-  EXPECT_EQ(FillMissing(&s, -9.0), 2);
-  EXPECT_DOUBLE_EQ(s.at(1), -9.0);
-  EXPECT_EQ(s.NumMissing(), 0);
-  EXPECT_EQ(FillMissing(&s, 0.0), 0);
+  EXPECT_FALSE(ImputeMaxGap(nullptr, 5, ImputationMethod::kLinear).ok());
+  EXPECT_FALSE(ImputeMaxGap(&s, -1, ImputationMethod::kLinear).ok());
 }
 
 TEST(ImputationMethodTest, LocfCarriesForward) {
@@ -106,7 +98,7 @@ TEST(ImputationMethodTest, AllMethodsRespectMaxGap) {
   }
 }
 
-/// Property: after InterpolateMaxGap(max), no remaining interior gap has
+/// Property: after linear ImputeMaxGap(max), no remaining interior gap has
 /// length <= max, and observed values are never modified.
 class InterpolationPropertyTest : public ::testing::TestWithParam<int> {};
 
@@ -121,7 +113,7 @@ TEST_P(InterpolationPropertyTest, NoShortGapsRemainAndObservedUntouched) {
   }
   TimeSeries original(values);
   TimeSeries s(values);
-  ASSERT_TRUE(InterpolateMaxGap(&s, max_gap).ok());
+  ASSERT_TRUE(ImputeMaxGap(&s, max_gap, ImputationMethod::kLinear).ok());
   for (const Gap& gap : FindGaps(s)) {
     EXPECT_GT(gap.length, max_gap);
   }

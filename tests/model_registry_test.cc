@@ -61,14 +61,6 @@ std::vector<std::unique_ptr<Model>> TrainAllFamilies() {
   return models;
 }
 
-TEST(ModelRegistryTest, AllBuiltinFamiliesAreRegistered) {
-  const auto kinds = RegisteredModelKinds();
-  for (const char* kind : {"gbt", "linear", "logistic", "gam"}) {
-    EXPECT_NE(std::find(kinds.begin(), kinds.end(), kind), kinds.end())
-        << kind << " missing from registry";
-  }
-}
-
 TEST(ModelRegistryTest, EveryFamilyRoundTripsThroughFile) {
   const Dataset probe = MakeRegressionData(30, 7);
   for (const auto& model : TrainAllFamilies()) {

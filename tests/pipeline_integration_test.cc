@@ -116,21 +116,6 @@ TEST(PipelineIntegrationTest, ExplanationsDifferAcrossPatients) {
   EXPECT_TRUE(differs) << "all patients had identical top features";
 }
 
-TEST(PipelineIntegrationTest, GlobalImportanceIsFiniteAndOrdered) {
-  const auto& fixture = GetPipeline();
-  const explain::TreeShap shap(fixture.dd_result.gbt_model());
-  const auto importance =
-      explain::ComputeGlobalImportance(shap, fixture.dd_result.test).value();
-  ASSERT_EQ(importance.features.size(),
-            static_cast<size_t>(fixture.dd_result.model->NumFeatures()));
-  for (size_t i = 0; i < importance.mean_abs_shap.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(importance.mean_abs_shap[i]));
-    if (i > 0) {
-      EXPECT_GE(importance.mean_abs_shap[i - 1], importance.mean_abs_shap[i]);
-    }
-  }
-}
-
 TEST(PipelineIntegrationTest, ModelSerializationSurvivesPipeline) {
   const auto& fixture = GetPipeline();
   // Round-trip through the registry: the serialized text carries a kind

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 namespace mysawh::cohort {
@@ -39,17 +40,15 @@ TEST(ProQuestionBankTest, ScalesAreOrdinalRanges) {
 
 TEST(ProQuestionBankTest, StressQuestionConfiguredForFig7) {
   const ProQuestionBank bank = ProQuestionBank::Standard();
-  const int idx = bank.IndexOf(kStressQuestionName).value();
-  const ProQuestion& q = bank.question(idx);
+  const auto it = std::find_if(
+      bank.questions().begin(), bank.questions().end(),
+      [](const ProQuestion& q) { return q.name == kStressQuestionName; });
+  ASSERT_NE(it, bank.questions().end());
+  const ProQuestion& q = *it;
   EXPECT_EQ(q.domain, IcDomain::kPsychological);
   EXPECT_EQ(q.levels, 10);
   EXPECT_TRUE(q.reversed);
   EXPECT_EQ(q.shape, QuestionShape::kLinear);
-}
-
-TEST(ProQuestionBankTest, IndexOfUnknownFails) {
-  const ProQuestionBank bank = ProQuestionBank::Standard();
-  EXPECT_FALSE(bank.IndexOf("pro_unknown_99").ok());
 }
 
 TEST(ProQuestionBankTest, DeterministicAcrossCalls) {

@@ -32,6 +32,21 @@ inline std::vector<double> ReferencePredictRaw(const gbt::GbtModel& model,
   return out;
 }
 
+/// Length of the longest root-to-leaf path below node `id` (a single leaf
+/// has depth 0).
+inline int MaxDepth(const gbt::RegressionTree& tree, int id = 0) {
+  const gbt::TreeNode& node = tree.node(id);
+  if (node.IsLeaf()) return 0;
+  return 1 + std::max(MaxDepth(tree, node.left), MaxDepth(tree, node.right));
+}
+
+/// Number of leaves of a tree.
+inline int NumLeaves(const gbt::RegressionTree& tree) {
+  int count = 0;
+  for (int i = 0; i < tree.num_nodes(); ++i) count += tree.node(i).IsLeaf();
+  return count;
+}
+
 namespace internal {
 
 /// One step of the feature path maintained by the TreeSHAP recursion.
@@ -208,7 +223,7 @@ inline void TreeShapRecurse(const gbt::RegressionTree& tree, const double* x,
 inline void AccumulateTreeShap(const gbt::RegressionTree& tree,
                                const double* x, double* phi, int condition,
                                int condition_feature) {
-  const int maxd = tree.MaxDepth() + 2;
+  const int maxd = MaxDepth(tree) + 2;
   std::vector<PathElement> workspace(
       static_cast<size_t>((maxd * (maxd + 1)) / 2 + maxd + 1));
   TreeShapRecurse(tree, x, phi, 0, 0, workspace.data(), 1.0, 1.0, -1,

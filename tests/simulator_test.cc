@@ -3,11 +3,38 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
-#include "util/stats.h"
+#include <vector>
 
 namespace mysawh::cohort {
 namespace {
+
+double Mean(const std::vector<double>& v) {
+  double sum = 0.0;
+  for (const double x : v) sum += x;
+  return sum / static_cast<double>(v.size());
+}
+
+/// Unbiased sample variance (n - 1 denominator); needs n >= 2.
+double Variance(const std::vector<double>& v) {
+  const double m = Mean(v);
+  double ss = 0.0;
+  for (const double x : v) ss += (x - m) * (x - m);
+  return ss / static_cast<double>(v.size() - 1);
+}
+
+/// Pearson correlation of two equal-length, non-constant vectors.
+double PearsonCorrelation(const std::vector<double>& x,
+                          const std::vector<double>& y) {
+  const double mx = Mean(x);
+  const double my = Mean(y);
+  double sxy = 0.0, sxx = 0.0, syy = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    sxy += (x[i] - mx) * (y[i] - my);
+    sxx += (x[i] - mx) * (x[i] - mx);
+    syy += (y[i] - my) * (y[i] - my);
+  }
+  return sxy / std::sqrt(sxx * syy);
+}
 
 /// A small cohort for fast structural checks.
 CohortConfig SmallConfig() {
@@ -136,7 +163,7 @@ TEST(SimulatorTest, FrailtyDrivesCapacityDown) {
     }
     capacity.push_back(mean / kNumDomains);
   }
-  EXPECT_LT(PearsonCorrelation(frailty, capacity).value(), -0.5);
+  EXPECT_LT(PearsonCorrelation(frailty, capacity), -0.5);
 }
 
 TEST(SimulatorTest, InjectedGapsRespectCap) {
@@ -160,7 +187,6 @@ TEST(SimulatorTest, PaperScaleCohortShape) {
   const CohortConfig config;
   const Cohort cohort = CohortSimulator(config).Generate().value();
   EXPECT_EQ(cohort.patients.size(), 261u);
-  EXPECT_EQ(config.TotalPatients(), 261);
   EXPECT_EQ(config.NumWindows(), 2);
   EXPECT_EQ(cohort.questions.size(), 56);
   // Falls base rate in the paper's ~9-16% band.

@@ -38,28 +38,6 @@ TEST(TrainTestSplitTest, InvalidInputs) {
   EXPECT_FALSE(TrainTestSplit(10, 1.0, &rng).ok());
 }
 
-TEST(GroupSplitTest, GroupsNeverStraddle) {
-  Rng rng(5);
-  std::vector<int64_t> groups;
-  for (int64_t g = 0; g < 20; ++g) {
-    for (int i = 0; i < 5; ++i) groups.push_back(g);
-  }
-  const auto split = GroupTrainTestSplit(groups, 0.25, &rng).value();
-  std::set<int64_t> test_groups, train_groups;
-  for (int64_t r : split.test) test_groups.insert(groups[static_cast<size_t>(r)]);
-  for (int64_t r : split.train) train_groups.insert(groups[static_cast<size_t>(r)]);
-  for (int64_t g : test_groups) EXPECT_EQ(train_groups.count(g), 0u);
-  EXPECT_EQ(split.test.size() + split.train.size(), groups.size());
-  EXPECT_FALSE(split.test.empty());
-  EXPECT_FALSE(split.train.empty());
-}
-
-TEST(GroupSplitTest, NeedsTwoGroups) {
-  Rng rng(1);
-  EXPECT_FALSE(GroupTrainTestSplit({7, 7, 7}, 0.5, &rng).ok());
-  EXPECT_FALSE(GroupTrainTestSplit({}, 0.5, &rng).ok());
-}
-
 TEST(StratifiedSplitTest, PreservesClassesOnBothSides) {
   Rng rng(7);
   std::vector<double> labels;

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace mysawh {
 namespace {
 
@@ -13,23 +11,11 @@ TEST(StatsTest, MeanBasics) {
   EXPECT_DOUBLE_EQ(Mean({1.0, 2.0, 3.0}), 2.0);
 }
 
-TEST(StatsTest, VarianceUnbiased) {
-  EXPECT_DOUBLE_EQ(Variance({5.0}), 0.0);
-  EXPECT_DOUBLE_EQ(Variance({1.0, 3.0}), 2.0);
-  EXPECT_NEAR(Variance({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}),
-              4.571428571, 1e-8);
-}
-
-TEST(StatsTest, StdDevIsSqrtVariance) {
-  EXPECT_DOUBLE_EQ(StdDev({1.0, 3.0}), std::sqrt(2.0));
-}
-
 TEST(StatsTest, QuantileEndpointsAndMedian) {
   const std::vector<double> v = {3.0, 1.0, 2.0, 5.0, 4.0};
   EXPECT_DOUBLE_EQ(Quantile(v, 0.0).value(), 1.0);
   EXPECT_DOUBLE_EQ(Quantile(v, 1.0).value(), 5.0);
   EXPECT_DOUBLE_EQ(Quantile(v, 0.5).value(), 3.0);
-  EXPECT_DOUBLE_EQ(Median(v).value(), 3.0);
 }
 
 TEST(StatsTest, QuantileInterpolates) {
@@ -52,17 +38,6 @@ TEST(StatsTest, QuantileMonotoneInQ) {
     EXPECT_GE(current, previous - 1e-12);
     previous = current;
   }
-}
-
-TEST(StatsTest, PearsonCorrelation) {
-  const std::vector<double> x = {1, 2, 3, 4, 5};
-  const std::vector<double> y = {2, 4, 6, 8, 10};
-  EXPECT_NEAR(PearsonCorrelation(x, y).value(), 1.0, 1e-12);
-  const std::vector<double> yneg = {10, 8, 6, 4, 2};
-  EXPECT_NEAR(PearsonCorrelation(x, yneg).value(), -1.0, 1e-12);
-  const std::vector<double> constant = {3, 3, 3, 3, 3};
-  EXPECT_DOUBLE_EQ(PearsonCorrelation(x, constant).value(), 0.0);
-  EXPECT_FALSE(PearsonCorrelation(x, {1.0}).ok());
 }
 
 TEST(StatsTest, BoxStatsSimple) {
@@ -106,23 +81,6 @@ TEST(StatsTest, HistogramRejectsBadEdges) {
   EXPECT_FALSE(ComputeHistogram({1.0}, {0.0}).ok());
   EXPECT_FALSE(ComputeHistogram({1.0}, {0.0, 0.0}).ok());
   EXPECT_FALSE(ComputeHistogram({1.0}, {1.0, 0.0}).ok());
-}
-
-TEST(StatsTest, RunningStatsMatchesBatch) {
-  const std::vector<double> v = {3.1, -2.2, 7.9, 0.0, 4.4, 4.4};
-  RunningStats rs;
-  for (double x : v) rs.Add(x);
-  EXPECT_EQ(rs.count(), static_cast<int64_t>(v.size()));
-  EXPECT_NEAR(rs.mean(), Mean(v), 1e-12);
-  EXPECT_NEAR(rs.variance(), Variance(v), 1e-12);
-}
-
-TEST(StatsTest, RunningStatsSmallCounts) {
-  RunningStats rs;
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-  rs.Add(5.0);
-  EXPECT_DOUBLE_EQ(rs.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
 }
 
 }  // namespace

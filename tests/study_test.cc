@@ -31,7 +31,7 @@ TEST(StudyTest, GridIsComplete) {
     for (Approach approach :
          {Approach::kKnowledgeDriven, Approach::kDataDriven}) {
       for (bool with_fi : {false, true}) {
-        EXPECT_TRUE(study.Cell(outcome, approach, with_fi).ok());
+        EXPECT_EQ(study.cells.count({outcome, approach, with_fi}), 1u);
       }
     }
   }
@@ -42,19 +42,20 @@ TEST(StudyTest, GridIsComplete) {
 TEST(StudyTest, CentralClaimHolds) {
   const StudyResult& study = GetStudy();
   for (Outcome outcome : {Outcome::kQol, Outcome::kSppb}) {
-    const auto* dd = study.Cell(outcome, Approach::kDataDriven, true).value();
-    const auto* kd =
-        study.Cell(outcome, Approach::kKnowledgeDriven, false).value();
-    EXPECT_GT(dd->test_regression.one_minus_mape,
-              kd->test_regression.one_minus_mape)
+    const ExperimentResult& dd =
+        study.cells.at({outcome, Approach::kDataDriven, true});
+    const ExperimentResult& kd =
+        study.cells.at({outcome, Approach::kKnowledgeDriven, false});
+    EXPECT_GT(dd.test_regression.one_minus_mape,
+              kd.test_regression.one_minus_mape)
         << OutcomeName(outcome);
   }
-  const auto* dd_falls =
-      study.Cell(Outcome::kFalls, Approach::kDataDriven, true).value();
-  const auto* kd_falls =
-      study.Cell(Outcome::kFalls, Approach::kKnowledgeDriven, false).value();
-  EXPECT_GE(dd_falls->test_classification.accuracy,
-            kd_falls->test_classification.accuracy);
+  const ExperimentResult& dd_falls =
+      study.cells.at({Outcome::kFalls, Approach::kDataDriven, true});
+  const ExperimentResult& kd_falls =
+      study.cells.at({Outcome::kFalls, Approach::kKnowledgeDriven, false});
+  EXPECT_GE(dd_falls.test_classification.accuracy,
+            kd_falls.test_classification.accuracy);
 }
 
 TEST(StudyTest, MarkdownReportContainsTables) {
@@ -173,11 +174,6 @@ TEST(StudyTest, FitCostEstimateStartsTheLongestFitsFirst) {
               EstimateFitCost(kd, kd.final_fit()));
     EXPECT_GT(EstimateFitCost(kd, kd.final_fit()), EstimateFitCost(kd, fold));
   }
-}
-
-TEST(StudyTest, MissingCellLookupFails) {
-  StudyResult empty;
-  EXPECT_FALSE(empty.Cell(Outcome::kQol, Approach::kDataDriven, true).ok());
 }
 
 }  // namespace

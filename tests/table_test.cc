@@ -42,36 +42,9 @@ TEST(TableTest, TypedAccess) {
   EXPECT_TRUE(t.HasColumn("y"));
   EXPECT_FALSE(t.HasColumn("missing"));
   EXPECT_DOUBLE_EQ((*t.GetNumeric("y").value())[2], 2.5);
-  EXPECT_EQ((*t.GetStrings("tag").value())[0], "a");
+  EXPECT_EQ(t.GetColumn("tag").value()->strings()[0], "a");
   EXPECT_FALSE(t.GetNumeric("tag").ok());
-  EXPECT_FALSE(t.GetStrings("x").ok());
   EXPECT_FALSE(t.GetColumn("nope").ok());
-}
-
-TEST(TableTest, FilterRows) {
-  const Table t = MakeSample();
-  const Table f = t.FilterRows({true, false, true}).value();
-  EXPECT_EQ(f.num_rows(), 2);
-  EXPECT_DOUBLE_EQ((*f.GetNumeric("y").value())[1], 2.5);
-  EXPECT_EQ((*f.GetStrings("tag").value())[1], "c");
-  EXPECT_FALSE(t.FilterRows({true}).ok());
-}
-
-TEST(TableTest, SelectColumnsReorders) {
-  const Table t = MakeSample();
-  const Table s = t.SelectColumns({"tag", "x"}).value();
-  EXPECT_EQ(s.ColumnNames(), (std::vector<std::string>{"tag", "x"}));
-  EXPECT_FALSE(t.SelectColumns({"nope"}).ok());
-}
-
-TEST(TableTest, AppendRequiresSameSchema) {
-  Table a = MakeSample();
-  const Table b = MakeSample();
-  ASSERT_TRUE(a.Append(b).ok());
-  EXPECT_EQ(a.num_rows(), 6);
-  Table different;
-  ASSERT_TRUE(different.AddNumericColumn("x", {1.0}).ok());
-  EXPECT_FALSE(a.Append(different).ok());
 }
 
 TEST(TableTest, CsvRoundTripPreservesNumericsAndMissing) {
@@ -83,7 +56,7 @@ TEST(TableTest, CsvRoundTripPreservesNumericsAndMissing) {
   const auto& x = *loaded.GetNumeric("x").value();
   EXPECT_DOUBLE_EQ(x[0], 1.0);
   EXPECT_TRUE(std::isnan(x[2]));
-  EXPECT_EQ((*loaded.GetStrings("tag").value())[1], "b");
+  EXPECT_EQ(loaded.GetColumn("tag").value()->strings()[1], "b");
   std::remove(path.c_str());
 }
 

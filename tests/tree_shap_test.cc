@@ -8,7 +8,6 @@
 
 #include "gbt/gbt_model.h"
 #include "reference_walkers.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace mysawh::explain {
@@ -181,12 +180,10 @@ TEST(TreeShapTest, ShapBatchMatchesPerRow) {
   }
 }
 
-TEST(TreeShapTest, ShapBatchPatternTablesMatchPerRow) {
+TEST(TreeShapTest, ShapBatchOnDeepTreesMatchesReference) {
   // Deep trees over few features force repeated features on paths (the
-  // UnwindPath merge), and 256 probe rows cross ShapBatch's pattern-table
-  // threshold (the 10-row batch above stays on the per-row recursion), so
-  // the precomputed-addend path gets the exact-equality check including
-  // missing values.
+  // UnwindPath merge); a 256-row batch with missing values gets the
+  // exact-equality check against the pointer-walk oracle.
   const Dataset train = MakeData(500, 4, 32, /*missing_prob=*/0.15);
   GbtParams params;
   params.num_trees = 15;
@@ -205,11 +202,9 @@ TEST(TreeShapTest, ShapBatchPatternTablesMatchPerRow) {
 
 /// Exact Shapley values by enumerating every feature subset of the
 /// path-dependent value function (tests/reference_walkers.h): the single-row
-/// recursion and both batch strategies must agree with it to rounding, on
+/// recursion and small and large batches must agree with it to rounding, on
 /// deep trees with missing values.
 TEST(TreeShapTest, MatchesBruteForceShapley) {
-  Counter* const table_rows =
-      MetricsRegistry::Global().GetCounter("shap.batch_table_rows");
   for (const int64_t num_features : {3, 5, 8}) {
     SCOPED_TRACE(::testing::Message() << num_features << " features");
     const Dataset train =
@@ -221,19 +216,15 @@ TEST(TreeShapTest, MatchesBruteForceShapley) {
     const TreeShap shap(&model);
     const Dataset probe =
         MakeData(10, num_features, 50 + num_features, /*missing_prob=*/0.1);
-    // Each probe row 20 times over: enough rows for the pattern tables.
+    // Each probe row 20 times over: a 200-row batch.
     std::vector<int64_t> repeated;
     for (int copy = 0; copy < 20; ++copy) {
       for (int64_t r = 0; r < probe.num_rows(); ++r) repeated.push_back(r);
     }
     const Dataset many = probe.Take(repeated).value();
 
-    const int64_t tables_before = table_rows->Value();
     const auto per_row = shap.ShapBatch(probe).value();
-    ASSERT_EQ(table_rows->Value(), tables_before) << "per-row strategy";
-    const auto tabled = shap.ShapBatch(many).value();
-    ASSERT_EQ(table_rows->Value(), tables_before + many.num_rows())
-        << "pattern-table strategy";
+    const auto large = shap.ShapBatch(many).value();
 
     for (int64_t r = 0; r < probe.num_rows(); ++r) {
       const std::vector<double> exact = BruteForceShap(model, probe.row(r));
@@ -243,9 +234,9 @@ TEST(TreeShapTest, MatchesBruteForceShapley) {
         EXPECT_NEAR(single[i], exact[i], 1e-12) << "row " << r << " f " << f;
         EXPECT_NEAR(per_row[static_cast<size_t>(r)][i], exact[i], 1e-12)
             << "row " << r << " f " << f;
-        for (size_t copy = static_cast<size_t>(r); copy < tabled.size();
+        for (size_t copy = static_cast<size_t>(r); copy < large.size();
              copy += static_cast<size_t>(probe.num_rows())) {
-          EXPECT_NEAR(tabled[copy][i], exact[i], 1e-12)
+          EXPECT_NEAR(large[copy][i], exact[i], 1e-12)
               << "row " << r << " f " << f;
         }
       }
