@@ -22,29 +22,35 @@ using core::Outcome;
 
 int main() {
   const auto cohort = MakePaperCohort();
-  core::EvalProtocol protocol;
-
-  TablePrinter table({"max gap", "retained", "left-missing gaps",
-                      "1-MAPE (QoL)", "MAE"});
-  CsvDocument csv;
-  csv.header = {"max_gap", "retained", "one_minus_mape", "mae"};
-
-  for (int max_gap : {0, 1, 2, 3, 5, 8, 12, 17}) {
+  const int max_gaps[] = {0, 1, 2, 3, 5, 8, 12, 17};
+  std::vector<std::string> retained;
+  std::vector<std::string> gaps_left;
+  std::vector<core::ExperimentPlan> plans;
+  for (int max_gap : max_gaps) {
     core::SampleBuildOptions options;
     options.max_interpolation_gap = max_gap;
     const auto builder =
         ValueOrDie(core::SampleSetBuilder::Create(&cohort, options));
     const auto sets = ValueOrDie(builder.Build(Outcome::kQol));
-    const auto result = ValueOrDie(core::RunExperiment(
-        sets.dd, Outcome::kQol, Approach::kDataDriven, false, protocol));
-    table.AddRow({std::to_string(max_gap), std::to_string(sets.retained),
-                  std::to_string(sets.gap_stats_after.num_gaps),
-                  FormatPercent(result.test_regression.one_minus_mape, 1),
-                  FormatDouble(result.test_regression.mae, 4)});
-    csv.rows.push_back(
-        {std::to_string(max_gap), std::to_string(sets.retained),
-         FormatDouble(result.test_regression.one_minus_mape, 4),
-         FormatDouble(result.test_regression.mae, 4)});
+    retained.push_back(std::to_string(sets.retained));
+    gaps_left.push_back(std::to_string(sets.gap_stats_after.num_gaps));
+    plans.push_back(
+        PlanCell(sets.dd, {Outcome::kQol, Approach::kDataDriven, false}));
+  }
+  const auto results = RunCells(std::move(plans));
+
+  TablePrinter table({"max gap", "retained", "left-missing gaps",
+                      "1-MAPE (QoL)", "MAE"});
+  CsvDocument csv;
+  csv.header = {"max_gap", "retained", "one_minus_mape", "mae"};
+  for (size_t i = 0; i < results.size(); ++i) {
+    const std::string max_gap = std::to_string(max_gaps[i]);
+    const core::RegressionMetrics& m = results[i].test_regression;
+    table.AddRow({max_gap, retained[i], gaps_left[i],
+                  FormatPercent(m.one_minus_mape, 1), FormatDouble(m.mae, 4)});
+    csv.rows.push_back({max_gap, retained[i],
+                        FormatDouble(m.one_minus_mape, 4),
+                        FormatDouble(m.mae, 4)});
   }
   std::cout << "Section 3 QA ablation: maximum interpolation gap sweep\n"
             << table.ToString()

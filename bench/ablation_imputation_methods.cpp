@@ -31,25 +31,33 @@ const char* MethodName(ImputationMethod method) {
 
 int main() {
   const auto cohort = MakePaperCohort();
-  core::EvalProtocol protocol;
-  TablePrinter table({"method", "retained", "1-MAPE (QoL)", "MAE"});
-  CsvDocument csv;
-  csv.header = {"method", "retained", "one_minus_mape", "mae"};
-  for (auto method : {ImputationMethod::kLinear, ImputationMethod::kLocf,
-                      ImputationMethod::kNearest}) {
+  const ImputationMethod methods[] = {ImputationMethod::kLinear,
+                                      ImputationMethod::kLocf,
+                                      ImputationMethod::kNearest};
+  std::vector<int64_t> retained;
+  std::vector<core::ExperimentPlan> plans;
+  for (ImputationMethod method : methods) {
     core::SampleBuildOptions options;
     options.imputation = method;
     const auto builder =
         ValueOrDie(core::SampleSetBuilder::Create(&cohort, options));
     const auto sets = ValueOrDie(builder.Build(Outcome::kQol));
-    const auto result = ValueOrDie(core::RunExperiment(
-        sets.dd, Outcome::kQol, Approach::kDataDriven, false, protocol));
-    table.AddRow({MethodName(method), std::to_string(sets.retained),
-                  FormatPercent(result.test_regression.one_minus_mape, 2),
-                  FormatDouble(result.test_regression.mae, 4)});
-    csv.rows.push_back({MethodName(method), std::to_string(sets.retained),
-                        FormatDouble(result.test_regression.one_minus_mape, 4),
-                        FormatDouble(result.test_regression.mae, 4)});
+    retained.push_back(sets.retained);
+    plans.push_back(
+        PlanCell(sets.dd, {Outcome::kQol, Approach::kDataDriven, false}));
+  }
+  const auto results = RunCells(std::move(plans));
+
+  TablePrinter table({"method", "retained", "1-MAPE (QoL)", "MAE"});
+  CsvDocument csv;
+  csv.header = {"method", "retained", "one_minus_mape", "mae"};
+  for (size_t i = 0; i < results.size(); ++i) {
+    const core::RegressionMetrics& m = results[i].test_regression;
+    table.AddRow({MethodName(methods[i]), std::to_string(retained[i]),
+                  FormatPercent(m.one_minus_mape, 2), FormatDouble(m.mae, 4)});
+    csv.rows.push_back({MethodName(methods[i]), std::to_string(retained[i]),
+                        FormatDouble(m.one_minus_mape, 4),
+                        FormatDouble(m.mae, 4)});
   }
   std::cout << "Imputation-method ablation (max gap 5, QoL DD)\n"
             << table.ToString()

@@ -11,9 +11,6 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "data/split.h"
-#include "gam/gam_model.h"
-#include "linear/linear_model.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -22,19 +19,10 @@ using namespace mysawh;         // NOLINT
 using namespace mysawh::bench;  // NOLINT
 using core::Approach;
 using core::Outcome;
-
-struct Scores {
-  double regression_metric = 0.0;  // 1-MAPE
-  double accuracy = 0.0;
-  double recall_true = 0.0;
-};
-
 }  // namespace
 
 int main() {
   const auto cohort = MakePaperCohort();
-  core::EvalProtocol protocol;
-  Rng rng(protocol.seed);
 
   TablePrinter table({"outcome", "model family", "headline", "detail"});
   CsvDocument csv;
@@ -43,61 +31,46 @@ int main() {
   for (Outcome outcome : {Outcome::kQol, Outcome::kSppb, Outcome::kFalls}) {
     const auto sets = MakeSampleSets(cohort, outcome);
     const bool classify = core::IsClassification(outcome);
-
-    // Shared split so all families see identical train/test rows.
-    Rng split_rng(protocol.seed);
-    TrainTestIndices split = ValueOrDie(
-        classify ? StratifiedTrainTestSplit(sets.dd.labels(),
-                                            protocol.test_fraction, &split_rng)
-                 : TrainTestSplit(sets.dd.num_rows(), protocol.test_fraction,
-                                  &split_rng));
-    const Dataset train = ValueOrDie(sets.dd.Take(split.train));
-    const Dataset test = ValueOrDie(sets.dd.Take(split.test));
-
-    auto report = [&](const std::string& family,
-                      const std::vector<double>& predictions) {
+    auto gam = core::DefaultModelConfig(outcome, Approach::kDataDriven,
+                                        core::ModelFamily::kGam);
+    gam.gam.num_cycles = 25;
+    const struct {
+      const char* name;
+      core::ModelFamilyConfig config;
+    } families[] = {
+        // 1. GBT (the paper's choice).
+        {"GBT (XGBoost-style)",
+         core::DefaultModelConfig(outcome, Approach::kDataDriven)},
+        // 2. GA2M-style additive model.
+        {"GA2M-style GAM", gam},
+        // 3. Linear / logistic baselines.
+        {classify ? "Logistic regression" : "Ridge regression",
+         core::DefaultModelConfig(outcome, Approach::kDataDriven,
+                                  core::ModelFamily::kLinear)},
+    };
+    for (const auto& family : families) {
+      // The final fit of one plan per family: the plans draw the same
+      // train/test rows, so all families see identical data.
+      const core::ExperimentPlan plan = PlanCell(
+          sets.dd, {outcome, Approach::kDataDriven, false}, family.config);
+      const core::FitResult fit =
+          ValueOrDie(core::RunFit(plan, plan.final_fit()));
       if (classify) {
-        const auto m = ValueOrDie(core::ComputeClassificationMetrics(
-            test.labels(), predictions, protocol.decision_threshold));
-        table.AddRow({core::OutcomeName(outcome), family,
+        const auto& m = fit.classification;
+        table.AddRow({core::OutcomeName(outcome), family.name,
                       "acc " + FormatPercent(m.accuracy, 1),
                       "recall(T) " + FormatPercent(m.recall_true, 1)});
-        csv.rows.push_back({core::OutcomeName(outcome), family,
+        csv.rows.push_back({core::OutcomeName(outcome), family.name,
                             FormatDouble(m.accuracy, 4),
                             FormatDouble(m.recall_true, 4)});
       } else {
-        const auto m = ValueOrDie(
-            core::ComputeRegressionMetrics(test.labels(), predictions));
-        table.AddRow({core::OutcomeName(outcome), family,
+        const auto& m = fit.regression;
+        table.AddRow({core::OutcomeName(outcome), family.name,
                       "1-MAPE " + FormatPercent(m.one_minus_mape, 1),
                       "MAE " + FormatDouble(m.mae, 4)});
-        csv.rows.push_back({core::OutcomeName(outcome), family,
+        csv.rows.push_back({core::OutcomeName(outcome), family.name,
                             FormatDouble(m.one_minus_mape, 4), ""});
       }
-    };
-
-    // 1. GBT (the paper's choice).
-    auto gbt_params = core::DefaultGbtParams(outcome, Approach::kDataDriven);
-    const auto gbt_model =
-        ValueOrDie(gbt::GbtModel::Train(train, gbt_params));
-    report("GBT (XGBoost-style)", ValueOrDie(gbt_model.Predict(test)));
-
-    // 2. GA2M-style additive model.
-    gam::GamParams gam_params;
-    gam_params.objective = classify ? gbt::ObjectiveType::kLogistic
-                                    : gbt::ObjectiveType::kSquaredError;
-    gam_params.num_cycles = 25;
-    const auto gam_model = ValueOrDie(gam::GamModel::Train(train, gam_params));
-    report("GA2M-style GAM", ValueOrDie(gam_model.Predict(test)));
-
-    // 3. Linear / logistic baselines.
-    if (classify) {
-      const auto logistic =
-          ValueOrDie(linear::LogisticModel::Train(train, 1.0));
-      report("Logistic regression", ValueOrDie(logistic.Predict(test)));
-    } else {
-      const auto ridge = ValueOrDie(linear::LinearModel::Train(train, 1.0));
-      report("Ridge regression", ValueOrDie(ridge.Predict(test)));
     }
     table.AddSeparator();
   }

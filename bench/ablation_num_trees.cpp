@@ -18,13 +18,12 @@ using core::Outcome;
 
 int main() {
   const auto cohort = MakePaperCohort();
-  const auto sets = MakeSampleSets(cohort, Outcome::kQol);
-  core::EvalProtocol protocol;
-  auto params = core::DefaultGbtParams(Outcome::kQol, Approach::kDataDriven);
-  params.num_trees = 500;
-  const auto result = ValueOrDie(core::RunExperiment(
-      sets.dd_fi, Outcome::kQol, Approach::kDataDriven, true, params,
-      protocol));
+  auto config = core::DefaultModelConfig(Outcome::kQol, Approach::kDataDriven);
+  config.gbt.num_trees = 500;
+  const auto cells = RunCells(
+      {PlanCell(MakeSampleSets(cohort, Outcome::kQol).dd_fi,
+                {Outcome::kQol, Approach::kDataDriven, true}, config)});
+  const core::ExperimentResult& result = cells[0];
 
   const int stride = 25;
   const gbt::GbtModel* gbt = result.gbt_model();

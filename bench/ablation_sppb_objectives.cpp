@@ -6,8 +6,6 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/metrics.h"
-#include "data/split.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -21,12 +19,6 @@ using core::Outcome;
 int main() {
   const auto cohort = MakePaperCohort();
   const auto sets = MakeSampleSets(cohort, Outcome::kSppb);
-  core::EvalProtocol protocol;
-  Rng rng(protocol.seed);
-  const auto split = ValueOrDie(
-      TrainTestSplit(sets.dd_fi.num_rows(), protocol.test_fraction, &rng));
-  const Dataset train = ValueOrDie(sets.dd_fi.Take(split.train));
-  const Dataset test = ValueOrDie(sets.dd_fi.Take(split.test));
 
   TablePrinter table({"objective", "1-MAPE", "MAE", "RMSE"});
   CsvDocument csv;
@@ -34,13 +26,14 @@ int main() {
   for (auto objective : {gbt::ObjectiveType::kSquaredError,
                          gbt::ObjectiveType::kPoisson,
                          gbt::ObjectiveType::kPseudoHuber}) {
-    auto params = core::DefaultGbtParams(Outcome::kSppb,
-                                         Approach::kDataDriven);
-    params.objective = objective;
-    const auto model = ValueOrDie(gbt::GbtModel::Train(train, params));
-    const auto preds = ValueOrDie(model.Predict(test));
-    const auto metrics =
-        ValueOrDie(core::ComputeRegressionMetrics(test.labels(), preds));
+    auto config =
+        core::DefaultModelConfig(Outcome::kSppb, Approach::kDataDriven);
+    config.gbt.objective = objective;
+    // The final fit of one plan per objective: identical splits.
+    const core::ExperimentPlan plan = PlanCell(
+        sets.dd_fi, {Outcome::kSppb, Approach::kDataDriven, true}, config);
+    const core::RegressionMetrics metrics =
+        ValueOrDie(core::RunFit(plan, plan.final_fit())).regression;
     table.AddRow({gbt::ObjectiveTypeName(objective),
                   FormatPercent(metrics.one_minus_mape, 2),
                   FormatDouble(metrics.mae, 4),

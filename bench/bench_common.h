@@ -4,10 +4,11 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cohort/simulator.h"
-#include "core/evaluation.h"
-#include "core/sample_builder.h"
+#include "core/study.h"
 #include "util/csv.h"
 #include "util/status.h"
 
@@ -45,6 +46,33 @@ inline core::SampleSets MakeSampleSets(const cohort::Cohort& cohort,
   auto builder = ValueOrDie(core::SampleSetBuilder::Create(
       &cohort, core::SampleBuildOptions{}));
   return ValueOrDie(builder.Build(outcome));
+}
+
+/// Plans one cell under the paper's protocol (EvalProtocol defaults).
+inline core::ExperimentPlan PlanCell(const Dataset& samples,
+                                     const core::StudyCellKey& key,
+                                     const core::ModelFamilyConfig& config) {
+  return ValueOrDie(core::PlanExperiment(samples, key.outcome, key.approach,
+                                         key.with_fi, config,
+                                         core::EvalProtocol{}));
+}
+
+/// PlanCell with the default GBT of the key's outcome and approach.
+inline core::ExperimentPlan PlanCell(const Dataset& samples,
+                                     const core::StudyCellKey& key) {
+  return PlanCell(samples, key,
+                  core::DefaultModelConfig(key.outcome, key.approach));
+}
+
+/// Computes `plans` in one RunPlans call on every hardware thread and
+/// returns their cells in plan order; aborts on the first failure.
+inline std::vector<core::ExperimentResult> RunCells(
+    std::vector<core::ExperimentPlan> plans) {
+  std::vector<core::ExperimentResult> cells;
+  for (core::PlanRun& run : core::RunPlans(std::move(plans), 0)) {
+    cells.push_back(ValueOrDie(std::move(run.result)));
+  }
+  return cells;
 }
 
 /// Writes a CSV next to the binary's working directory and reports it.

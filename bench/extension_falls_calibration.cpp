@@ -20,28 +20,19 @@ using core::Outcome;
 int main() {
   const auto cohort = MakePaperCohort();
   const auto sets = MakeSampleSets(cohort, Outcome::kFalls);
-  core::EvalProtocol protocol;
+  std::vector<core::ExperimentPlan> plans;
+  for (const core::GridCell& cell : core::GridCells(sets)) {
+    plans.push_back(PlanCell(*cell.data, cell.key));
+  }
+  const auto results = RunCells(std::move(plans));
 
   TablePrinter table({"model", "AUC", "Brier", "base rate"});
   CsvDocument csv;
   csv.header = {"model", "auc", "brier"};
-  struct Cell {
-    const char* name;
-    const Dataset* data;
-    Approach approach;
-    bool with_fi;
-  };
-  const Cell cells[] = {
-      {"KD w/o FI", &sets.kd, Approach::kKnowledgeDriven, false},
-      {"KD w/ FI", &sets.kd_fi, Approach::kKnowledgeDriven, true},
-      {"DD w/o FI", &sets.dd, Approach::kDataDriven, false},
-      {"DD w/ FI", &sets.dd_fi, Approach::kDataDriven, true},
-  };
   const core::ExperimentResult* best = nullptr;
-  static core::ExperimentResult best_storage;
-  for (const Cell& cell : cells) {
-    auto result = ValueOrDie(core::RunExperiment(
-        *cell.data, Outcome::kFalls, cell.approach, cell.with_fi, protocol));
+  for (const core::ExperimentResult& result : results) {
+    std::string name = core::ApproachName(result.approach);
+    name += result.with_fi ? " w/ FI" : " w/o FI";
     const auto preds = ValueOrDie(result.model->PredictBatch(result.test));
     const double auc = ValueOrDie(core::RocAuc(result.test.labels(), preds));
     const double brier =
@@ -49,13 +40,11 @@ int main() {
     double base_rate = 0;
     for (double y : result.test.labels()) base_rate += y;
     base_rate /= static_cast<double>(result.test.num_rows());
-    table.AddRow({cell.name, FormatDouble(auc, 3), FormatDouble(brier, 4),
+    table.AddRow({name, FormatDouble(auc, 3), FormatDouble(brier, 4),
                   FormatPercent(base_rate, 1)});
-    csv.rows.push_back(
-        {cell.name, FormatDouble(auc, 4), FormatDouble(brier, 4)});
-    if (cell.with_fi && cell.approach == Approach::kDataDriven) {
-      best_storage = std::move(result);
-      best = &best_storage;
+    csv.rows.push_back({name, FormatDouble(auc, 4), FormatDouble(brier, 4)});
+    if (result.with_fi && result.approach == Approach::kDataDriven) {
+      best = &result;
     }
   }
   std::cout << "Falls risk models: ranking and calibration quality\n"

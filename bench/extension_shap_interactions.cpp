@@ -23,10 +23,10 @@ using core::Outcome;
 
 int main() {
   const auto cohort = MakePaperCohort();
-  const auto sets = MakeSampleSets(cohort, Outcome::kFalls);
-  core::EvalProtocol protocol;
-  const auto result = ValueOrDie(core::RunExperiment(
-      sets.dd, Outcome::kFalls, Approach::kDataDriven, false, protocol));
+  const auto cells =
+      RunCells({PlanCell(MakeSampleSets(cohort, Outcome::kFalls).dd,
+                         {Outcome::kFalls, Approach::kDataDriven, false})});
+  const core::ExperimentResult& result = cells[0];
 
   const explain::TreeShap shap(result.gbt_model());
   const auto& names = result.model->FeatureNames();

@@ -19,50 +19,21 @@ namespace {
 using namespace mysawh;            // NOLINT
 using namespace mysawh::bench;     // NOLINT
 using core::Approach;
-using core::ExperimentResult;
 using core::Outcome;
-
-struct CellKey {
-  Outcome outcome;
-  Approach approach;
-  bool with_fi;
-  bool operator<(const CellKey& other) const {
-    if (outcome != other.outcome) return outcome < other.outcome;
-    if (approach != other.approach) return approach < other.approach;
-    return with_fi < other.with_fi;
-  }
-};
+using core::StudyCellKey;
 
 }  // namespace
 
 int main() {
-  const auto cohort = MakePaperCohort();
-  core::EvalProtocol protocol;
-
-  std::map<CellKey, ExperimentResult> results;
-  for (Outcome outcome : {Outcome::kQol, Outcome::kSppb, Outcome::kFalls}) {
-    const auto sets = MakeSampleSets(cohort, outcome);
-    struct Cell {
-      const Dataset* data;
-      Approach approach;
-      bool with_fi;
-    };
-    const Cell cells[] = {
-        {&sets.kd, Approach::kKnowledgeDriven, false},
-        {&sets.kd_fi, Approach::kKnowledgeDriven, true},
-        {&sets.dd, Approach::kDataDriven, false},
-        {&sets.dd_fi, Approach::kDataDriven, true},
-    };
-    for (const Cell& cell : cells) {
-      auto result = ValueOrDie(core::RunExperiment(
-          *cell.data, outcome, cell.approach, cell.with_fi, protocol));
-      results[{outcome, cell.approach, cell.with_fi}] = std::move(result);
-    }
-  }
+  // The study's 12 cells: the seed-42 paper cohort under the default
+  // protocol, the same cells `mysawh_cli study` reports.
+  const core::StudyResult study =
+      ValueOrDie(core::RunFullStudy(core::StudyConfig{}));
+  const auto& results = study.cells;
 
   // ---- Left block: 1-MAPE for QoL and SPPB. ------------------------------
   // Paper Fig 4 left: rows w/o FI, w/ FI; columns KD, DD for each outcome.
-  const std::map<CellKey, double> paper_regression = {
+  const std::map<StudyCellKey, double> paper_regression = {
       {{Outcome::kQol, Approach::kKnowledgeDriven, false}, 0.91},
       {{Outcome::kQol, Approach::kDataDriven, false}, 0.92},
       {{Outcome::kQol, Approach::kKnowledgeDriven, true}, 0.92},

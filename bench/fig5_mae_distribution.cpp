@@ -21,19 +21,21 @@ using core::Outcome;
 
 int main() {
   const auto cohort = MakePaperCohort();
-  core::EvalProtocol protocol;
+  // The DD w/ FI models, the paper's best performers.
+  std::vector<core::ExperimentPlan> plans;
+  for (Outcome outcome : {Outcome::kQol, Outcome::kSppb}) {
+    plans.push_back(PlanCell(MakeSampleSets(cohort, outcome).dd_fi,
+                             {outcome, Approach::kDataDriven, true}));
+  }
+  const auto results = RunCells(std::move(plans));
 
   CsvDocument csv;
   csv.header = {"outcome", "clinic",  "q1",      "median",
                 "q3",      "whisker_lo", "whisker_hi", "num_outliers",
                 "num_patients"};
 
-  for (Outcome outcome : {Outcome::kQol, Outcome::kSppb}) {
-    const auto sets = MakeSampleSets(cohort, outcome);
-    // The DD w/ FI model, the paper's best performer.
-    const auto result = ValueOrDie(core::RunExperiment(
-        sets.dd_fi, outcome, Approach::kDataDriven, true, protocol));
-
+  for (const core::ExperimentResult& result : results) {
+    const Outcome outcome = result.outcome;
     // Per-patient MAE on the held-out test rows.
     const auto predictions =
         ValueOrDie(result.model->PredictBatch(result.test));

@@ -21,10 +21,10 @@ using core::Outcome;
 
 int main() {
   const auto cohort = MakePaperCohort();
-  const auto sets = MakeSampleSets(cohort, Outcome::kSppb);
-  core::EvalProtocol protocol;
-  const auto result = ValueOrDie(core::RunExperiment(
-      sets.dd_fi, Outcome::kSppb, Approach::kDataDriven, true, protocol));
+  const auto cells = RunCells({PlanCell(
+      MakeSampleSets(cohort, Outcome::kSppb).dd_fi,
+      {Outcome::kSppb, Approach::kDataDriven, true})});
+  const core::ExperimentResult& result = cells[0];
 
   const explain::TreeShap shap(result.gbt_model());
   const Dataset& test = result.test;

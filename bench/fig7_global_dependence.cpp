@@ -22,10 +22,10 @@ using core::Outcome;
 
 int main() {
   const auto cohort = MakePaperCohort();
-  const auto sets = MakeSampleSets(cohort, Outcome::kQol);
-  core::EvalProtocol protocol;
-  const auto result = ValueOrDie(core::RunExperiment(
-      sets.dd, Outcome::kQol, Approach::kDataDriven, false, protocol));
+  const auto cells =
+      RunCells({PlanCell(MakeSampleSets(cohort, Outcome::kQol).dd,
+                         {Outcome::kQol, Approach::kDataDriven, false})});
+  const core::ExperimentResult& result = cells[0];
 
   const explain::TreeShap shap(result.gbt_model());
   // Dependence over the full sample population (train + test), as the

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "util/file_io.h"
@@ -20,13 +21,6 @@ namespace {
 std::atomic<bool> g_audit_enabled{false};
 
 constexpr char kAuditSchema[] = "mysawh-audit v1";
-
-std::string HexU64(uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
 
 Result<uint64_t> ParseHexU64(const std::string& text) {
   if (text.empty() || text.size() > 16) {
@@ -54,9 +48,9 @@ std::string RecordJson(const AuditRecord& record) {
   std::string out = "{\"type\":\"";
   out += record.type;
   out += "\",\"fp\":\"";
-  out += HexU64(record.row_fp);
+  out += FingerprintHex(record.row_fp);
   out += "\",\"model\":\"";
-  out += HexU64(record.model_fp);
+  out += FingerprintHex(record.model_fp);
   out += "\",\"features\":[";
   for (size_t f = 0; f < record.features.size(); ++f) {
     if (f > 0) out += ',';
@@ -119,6 +113,13 @@ uint64_t HashBytes(const void* data, size_t size) {
     hash *= 1099511628211ull;
   }
   return hash;
+}
+
+std::string FingerprintHex(uint64_t fingerprint) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(fingerprint));
+  return buf;
 }
 
 bool AuditEnabled() {
@@ -333,15 +334,24 @@ Result<AuditFile> ParseAuditPayload(const std::string& payload) {
         "audit: missing or unknown schema (want \"mysawh-audit v1\")");
   }
   AuditFile file;
-  file.sample_rate = static_cast<int64_t>(header.NumberOr("sample_rate", 0));
-  file.top_k = static_cast<int>(header.NumberOr("top_k", 0));
-  if (file.sample_rate < 1 || file.top_k < 1) {
+  constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
+  const std::optional<int64_t> sample_rate =
+      JsonInteger(header.Find("sample_rate"), 1, kMaxInt64);
+  const std::optional<int64_t> top_k =
+      JsonInteger(header.Find("top_k"), 1, std::numeric_limits<int>::max());
+  if (!sample_rate.has_value() || !top_k.has_value()) {
     return Status::DataLoss("audit: invalid header options");
   }
-  const auto declared = static_cast<int64_t>(header.NumberOr("records", -1));
-  if (declared != static_cast<int64_t>(lines.size()) - 1) {
+  file.sample_rate = *sample_rate;
+  file.top_k = static_cast<int>(*top_k);
+  const std::optional<int64_t> declared =
+      JsonInteger(header.Find("records"), 0, kMaxInt64);
+  if (!declared.has_value()) {
+    return Status::DataLoss("audit: header lacks a whole record count");
+  }
+  if (*declared != static_cast<int64_t>(lines.size()) - 1) {
     return Status::DataLoss("audit: header declares " +
-                            std::to_string(declared) + " records, found " +
+                            std::to_string(*declared) + " records, found " +
                             std::to_string(lines.size() - 1));
   }
 
@@ -413,13 +423,14 @@ Result<AuditFile> ParseAuditPayload(const std::string& payload) {
           return Status::DataLoss("audit: record " + std::to_string(i) +
                                   " has a malformed shap entry");
         }
-        AuditShapEntry entry;
-        entry.index = static_cast<int>(index->number_value());
-        if (entry.index < 0 ||
-            entry.index >= static_cast<int>(record.features.size())) {
+        const std::optional<int64_t> feature = JsonInteger(
+            index, 0, static_cast<int64_t>(record.features.size()) - 1);
+        if (!feature.has_value()) {
           return Status::DataLoss("audit: record " + std::to_string(i) +
                                   " shap index out of range");
         }
+        AuditShapEntry entry;
+        entry.index = static_cast<int>(*feature);
         entry.value = entry_value->is_null() ? std::nan("")
                                              : entry_value->number_value();
         record.shap.push_back(entry);

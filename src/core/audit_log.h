@@ -93,6 +93,9 @@ inline uint64_t AuditSampleKey(const double* row, int64_t num_features) {
 /// that produced it.
 uint64_t HashBytes(const void* data, size_t size);
 
+/// A fingerprint as the audit artifact spells it: 16 lowercase hex digits.
+std::string FingerprintHex(uint64_t fingerprint);
+
 /// True when the sample key selects the row at this sampling rate.
 inline bool AuditSampled(uint64_t sample_key, int64_t sample_rate) {
   return sample_rate <= 1 ||

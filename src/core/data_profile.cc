@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "gbt/binning.h"
+#include "util/json.h"
 #include "util/telemetry.h"
 
 namespace mysawh::core {
@@ -178,13 +179,13 @@ std::string DataQualityJson(const DataQualityProfile& profile) {
   }
   os << "},\"max_missing_train\":" << TelemetryDouble(profile.max_missing_train)
      << ",\"max_missing_feature\":\""
-     << TelemetryJsonEscape(profile.max_missing_feature) << "\""
+     << JsonEscape(profile.max_missing_feature) << "\""
      << ",\"mean_bin_occupancy\":"
      << TelemetryDouble(profile.mean_bin_occupancy) << ",\"features\":[";
   for (size_t f = 0; f < profile.features.size(); ++f) {
     const FeatureQuality& feature = profile.features[f];
     os << (f == 0 ? "" : ",") << "{\"name\":\""
-       << TelemetryJsonEscape(feature.name) << "\""
+       << JsonEscape(feature.name) << "\""
        << ",\"missing_train\":" << TelemetryDouble(feature.missing_train)
        << ",\"missing_test\":" << TelemetryDouble(feature.missing_test)
        << ",\"mean_train\":" << TelemetryDouble(feature.mean_train)

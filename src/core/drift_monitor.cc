@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -181,7 +183,7 @@ DriftReport EvaluateRows(const DriftBaseline& baseline, const double* rows,
 
 std::string FeatureBaselineJson(const FeatureBaseline& base) {
   std::string out = "{\"name\":\"";
-  out += TelemetryJsonEscape(base.name);
+  out += JsonEscape(base.name);
   out += "\",\"rows\":";
   out += std::to_string(base.rows);
   out += ",\"missing\":";
@@ -214,7 +216,13 @@ Result<FeatureBaseline> ParseFeatureBaseline(const JsonValue& value) {
   if (rows == nullptr || !rows->is_number()) {
     return Status::InvalidArgument("drift baseline: feature without rows");
   }
-  base.rows = static_cast<int64_t>(rows->number_value());
+  const std::optional<int64_t> row_count =
+      JsonInteger(rows, 0, std::numeric_limits<int64_t>::max());
+  if (!row_count.has_value()) {
+    return Status::DataLoss("drift baseline: feature " + base.name +
+                            " has a row count that is not a whole number");
+  }
+  base.rows = *row_count;
   const JsonValue* missing = value.Find("missing");
   if (missing != nullptr) {
     if (!missing->is_number()) {
@@ -271,7 +279,7 @@ Result<FeatureBaseline> ParseFeatureBaseline(const JsonValue& value) {
 
 std::string FeatureDriftStatJson(const FeatureDriftStat& stat) {
   std::string out = "{\"name\":\"";
-  out += TelemetryJsonEscape(stat.name);
+  out += JsonEscape(stat.name);
   out += "\",\"psi\":";
   out += TelemetryDouble(stat.psi);
   out += ",\"ks\":";
@@ -367,10 +375,16 @@ Result<DriftBaseline> ParseDriftBaseline(const std::string& json) {
         "\"mysawh-drift-baseline v1\")");
   }
   DriftBaseline baseline;
-  baseline.num_bins = static_cast<int>(root.NumberOr("num_bins", 10));
-  if (baseline.num_bins < 2) {
-    return Status::DataLoss("drift baseline: num_bins < 2");
+  const JsonValue* num_bins = root.Find("num_bins");
+  const std::optional<int64_t> bins =
+      num_bins == nullptr
+          ? 10
+          : JsonInteger(num_bins, 2, std::numeric_limits<int>::max());
+  if (!bins.has_value()) {
+    return Status::DataLoss(
+        "drift baseline: num_bins is not a whole number >= 2");
   }
+  baseline.num_bins = static_cast<int>(*bins);
   const JsonValue* features = root.Find("features");
   if (features == nullptr || !features->is_array()) {
     return Status::InvalidArgument("drift baseline: missing features array");
@@ -398,16 +412,16 @@ std::string DriftReportJson(const DriftReport& report) {
   out += ",\"max_psi\":";
   out += TelemetryDouble(report.max_psi);
   out += ",\"max_psi_feature\":\"";
-  out += TelemetryJsonEscape(report.max_psi_feature);
+  out += JsonEscape(report.max_psi_feature);
   out += "\",\"max_ks\":";
   out += TelemetryDouble(report.max_ks);
   out += ",\"max_ks_feature\":\"";
-  out += TelemetryJsonEscape(report.max_ks_feature);
+  out += JsonEscape(report.max_ks_feature);
   out += "\",\"alerts\":[";
   for (size_t i = 0; i < report.alerts.size(); ++i) {
     if (i > 0) out += ',';
     out += '"';
-    out += TelemetryJsonEscape(report.alerts[i]);
+    out += JsonEscape(report.alerts[i]);
     out += '"';
   }
   out += "],\"prediction\":";
@@ -549,12 +563,12 @@ void DriftMonitorRuntime::ProcessReportLocked(DriftReport report) {
   event << "{\"type\":\"drift\",\"window_rows\":" << rows
         << ",\"max_psi\":" << TelemetryDouble(current.max_psi)
         << ",\"max_psi_feature\":\""
-        << TelemetryJsonEscape(current.max_psi_feature)
+        << JsonEscape(current.max_psi_feature)
         << "\",\"max_ks\":" << TelemetryDouble(current.max_ks)
         << ",\"max_ks_feature\":\""
-        << TelemetryJsonEscape(current.max_ks_feature) << "\",\"alerts\":[";
+        << JsonEscape(current.max_ks_feature) << "\",\"alerts\":[";
   for (size_t i = 0; i < current.alerts.size(); ++i) {
-    event << (i == 0 ? "" : ",") << "\"" << TelemetryJsonEscape(current.alerts[i])
+    event << (i == 0 ? "" : ",") << "\"" << JsonEscape(current.alerts[i])
           << "\"";
   }
   event << "]}";

@@ -366,36 +366,4 @@ Result<ExperimentResult> FinishExperiment(
   return result;
 }
 
-Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
-                                       Approach approach, bool with_fi,
-                                       const ModelFamilyConfig& config,
-                                       const EvalProtocol& protocol) {
-  MYSAWH_ASSIGN_OR_RETURN(
-      ExperimentPlan plan,
-      PlanExperiment(samples, outcome, approach, with_fi, config, protocol));
-  std::vector<Result<FitResult>> fits;
-  for (int fit = 0; fit < plan.num_fits(); ++fit) {
-    fits.push_back(RunFit(plan, fit));
-    MYSAWH_RETURN_NOT_OK(fits.back().status());
-  }
-  return FinishExperiment(std::move(plan), std::move(fits));
-}
-
-Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
-                                       Approach approach, bool with_fi,
-                                       const gbt::GbtParams& params,
-                                       const EvalProtocol& protocol) {
-  ModelFamilyConfig config;
-  config.family = ModelFamily::kGbt;
-  config.gbt = params;
-  return RunExperiment(samples, outcome, approach, with_fi, config, protocol);
-}
-
-Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
-                                       Approach approach, bool with_fi,
-                                       const EvalProtocol& protocol) {
-  return RunExperiment(samples, outcome, approach, with_fi,
-                       DefaultGbtParams(outcome, approach), protocol);
-}
-
 }  // namespace mysawh::core

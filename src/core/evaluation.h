@@ -113,8 +113,8 @@ Result<std::unique_ptr<model::Model>> TrainModel(
 /// One experiment cell with its protocol resolved: the 80/20 partitions
 /// and the K cross-validation folds, drawn from `protocol.seed` alone. Its
 /// K + 1 fits (fold k for k < K, then the final fit) depend on nothing but
-/// the plan, so they may run in any order and on any thread; RunFullStudy
-/// schedules the fits of all twelve cells on one pool.
+/// the plan, so they may run in any order and on any thread; RunPlans
+/// (core/study.h) schedules the fits of any list of plans on one pool.
 struct ExperimentPlan {
   Outcome outcome = Outcome::kQol;
   Approach approach = Approach::kDataDriven;
@@ -160,26 +160,6 @@ Result<FitResult> RunFit(const ExperimentPlan& plan, int fit);
 /// failed fit's Status, in fit order.
 Result<ExperimentResult> FinishExperiment(ExperimentPlan plan,
                                           std::vector<Result<FitResult>> fits);
-
-/// Runs one experiment cell on a sample set: PlanExperiment, every fit in
-/// order, FinishExperiment. K-fold cross-validates on the train side,
-/// trains the final model on all train rows, and evaluates on the test
-/// side.
-Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
-                                       Approach approach, bool with_fi,
-                                       const ModelFamilyConfig& config,
-                                       const EvalProtocol& protocol);
-
-/// GBT-only overload, kept for the paper pipeline's call sites.
-Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
-                                       Approach approach, bool with_fi,
-                                       const gbt::GbtParams& params,
-                                       const EvalProtocol& protocol);
-
-/// Convenience overload using DefaultGbtParams.
-Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
-                                       Approach approach, bool with_fi,
-                                       const EvalProtocol& protocol);
 
 }  // namespace mysawh::core
 

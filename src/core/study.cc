@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -200,17 +199,13 @@ struct PostPass {
   std::string calibration_json;
 };
 
-/// One grid cell while the study runs. A computed cell holds its plan and
-/// one slot per fit; the fit that completes last assembles the cell.
+/// One grid cell while the study runs. A planned cell is computed by
+/// RunPlans; a resumed or failed one holds its result from the start.
 struct CellRun {
   StudyCellKey key;
   const Dataset* data = nullptr;
   Result<ExperimentResult> result = Status::Internal("cell never ran");
   CellTiming timing;
-  std::unique_ptr<ExperimentPlan> plan;
-  std::vector<Result<FitResult>> fits;
-  std::vector<CellTiming> fit_timings;
-  std::atomic<int> fits_left{0};
   /// Set only for computed cells with both partitions and a model.
   std::optional<Result<PostPass>> post_pass;
 };
@@ -261,6 +256,105 @@ Result<PostPass> ProfileAndCheckQuality(const StudyConfig& config,
 
 }  // namespace
 
+std::array<GridCell, 4> GridCells(const SampleSets& sets) {
+  const Outcome outcome = sets.outcome;
+  return {{{{outcome, Approach::kKnowledgeDriven, false}, &sets.kd},
+           {{outcome, Approach::kKnowledgeDriven, true}, &sets.kd_fi},
+           {{outcome, Approach::kDataDriven, false}, &sets.dd},
+           {{outcome, Approach::kDataDriven, true}, &sets.dd_fi}}};
+}
+
+std::vector<PlanRun> RunPlans(
+    std::vector<ExperimentPlan> plans, int num_threads,
+    const std::function<void(size_t, Result<ExperimentResult>&)>& finish) {
+  if (num_threads == 0) {
+    num_threads = static_cast<int>(std::thread::hardware_concurrency());
+  }
+  // One slot per fit; the last fit of a plan to complete assembles it.
+  struct PlanState {
+    std::string name;
+    std::vector<Result<FitResult>> fits;
+    std::vector<CellTiming> fit_timings;
+    std::atomic<int> fits_left{0};
+  };
+  struct FitTask {
+    size_t plan;
+    int fit;
+    double cost;
+  };
+  std::vector<PlanRun> runs(plans.size());
+  std::vector<PlanState> states(plans.size());
+  std::vector<FitTask> tasks;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    const ExperimentPlan& plan = plans[i];
+    PlanState& state = states[i];
+    state.name = StudyCellName({plan.outcome, plan.approach, plan.with_fi});
+    const int num_fits = plan.num_fits();
+    for (int fit = 0; fit < num_fits; ++fit) {
+      state.fits.emplace_back(Status::Internal("fit never ran"));
+      tasks.push_back({i, fit, EstimateFitCost(plan, fit)});
+    }
+    state.fit_timings.resize(static_cast<size_t>(num_fits));
+    state.fits_left = num_fits;
+  }
+  Metrics().fits_total->Set(static_cast<int64_t>(tasks.size()));
+
+  // Schedule the fits, not the cells: longest first (a stable sort keeps
+  // plan and fit order among equal estimates), one task each, on one pool.
+  // Workers take tasks in submission order, so the longest fits start
+  // first and the short ones fill in at the end.
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const FitTask& a, const FitTask& b) {
+                     return a.cost > b.cost;
+                   });
+  ThreadPool pool(num_threads);
+  for (const FitTask& task : tasks) {
+    pool.Submit([&, task] {
+      PlanState& state = states[task.plan];
+      {
+        const ExperimentPlan& plan = plans[task.plan];
+        TraceSpan span;
+        if (TracingEnabled()) {
+          span = TraceSpan("study.cell/" + state.name + "/" +
+                               (task.fit < plan.final_fit()
+                                    ? "cv" + std::to_string(task.fit)
+                                    : "final"),
+                           "study");
+        }
+        // Telemetry context is thread-local, so each fit labels its own
+        // streams ("QoL-DD-fi0/cv2/train", ...) on whichever worker runs it.
+        TelemetryScope cell_scope(state.name);
+        const TaskClock clock;
+        state.fits[static_cast<size_t>(task.fit)] = RunFit(plan, task.fit);
+        state.fit_timings[static_cast<size_t>(task.fit)] = {
+            clock.WallMillis(), clock.CpuMillis(), false};
+        Metrics().fits_computed->Increment();
+      }
+      if (--state.fits_left != 0) return;
+      // The last fit assembles its plan. The fit slots are final by then:
+      // the atomic countdown orders every fit's writes before it.
+      PlanRun& run = runs[task.plan];
+      TraceSpan span;
+      if (TracingEnabled()) {
+        span = TraceSpan("study.cell/" + state.name, "study");
+      }
+      const TaskClock clock;
+      run.result = FinishExperiment(std::move(plans[task.plan]),
+                                    std::move(state.fits));
+      Metrics().cells_computed->Increment();
+      if (finish) finish(task.plan, run.result);
+      run.timing = {clock.WallMillis(), clock.CpuMillis(), false};
+      for (const CellTiming& fit : state.fit_timings) {
+        run.timing.wall_ms += fit.wall_ms;
+        run.timing.cpu_ms += fit.cpu_ms;
+      }
+      Metrics().cell_us->Record(static_cast<int64_t>(run.timing.wall_ms * 1e3));
+    });
+  }
+  pool.Wait();
+  return runs;
+}
+
 Result<StudyResult> RunFullStudy(const StudyConfig& config) {
   cohort::CohortSimulator simulator(config.cohort);
   StudyResult study;
@@ -273,12 +367,11 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
   // then reads its own immutable dataset.
   std::vector<SampleSets> all_sets;
   all_sets.reserve(3);  // cells hold pointers into all_sets; no reallocation
-  std::vector<CellRun> cells(12);
+  std::vector<CellRun> cells;
   {
     TraceSpan build_span("study.build_samples", "study");
     MYSAWH_ASSIGN_OR_RETURN(SampleSetBuilder builder,
                             SampleSetBuilder::Create(&cohort, config.build));
-    size_t c = 0;
     for (Outcome outcome : {Outcome::kQol, Outcome::kSppb, Outcome::kFalls}) {
       MYSAWH_ASSIGN_OR_RETURN(SampleSets sets, builder.Build(outcome));
       if (outcome == Outcome::kQol) {
@@ -287,24 +380,14 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
         study.gap_stats = sets.gap_stats_raw;
       }
       all_sets.push_back(std::move(sets));
-      const SampleSets& stored = all_sets.back();
-      const std::pair<const Dataset*, StudyCellKey> grid[] = {
-          {&stored.kd, {outcome, Approach::kKnowledgeDriven, false}},
-          {&stored.kd_fi, {outcome, Approach::kKnowledgeDriven, true}},
-          {&stored.dd, {outcome, Approach::kDataDriven, false}},
-          {&stored.dd_fi, {outcome, Approach::kDataDriven, true}}};
-      for (const auto& [data, key] : grid) {
-        cells[c].data = data;
-        cells[c].key = key;
-        ++c;
+      for (const GridCell& grid : GridCells(all_sets.back())) {
+        CellRun& cell = cells.emplace_back();
+        cell.key = grid.key;
+        cell.data = grid.data;
       }
     }
   }
 
-  int num_threads = config.num_threads;
-  if (num_threads == 0) {
-    num_threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
   const bool checkpointing = !config.checkpoint_dir.empty();
   const std::string fingerprint = StudyFingerprint(config);
   if (checkpointing) {
@@ -315,12 +398,8 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
   // Resume or plan every cell, in grid order on this thread: both are cheap,
   // and failpoint hits and resume decisions stay in a fixed order. Each plan
   // draws its partitions from the protocol seed alone.
-  struct FitTask {
-    size_t cell;
-    int fit;
-    double cost;
-  };
-  std::vector<FitTask> tasks;
+  std::vector<ExperimentPlan> plans;
+  std::vector<size_t> planned;  // planned[i] is the cell of plans[i]
   for (size_t c = 0; c < cells.size(); ++c) {
     CellRun& cell = cells[c];
     const TaskClock clock;
@@ -352,90 +431,36 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
       cell.result = plan.status();
       continue;
     }
-    cell.plan = std::make_unique<ExperimentPlan>(std::move(plan).value());
-    const int num_fits = cell.plan->num_fits();
-    for (int fit = 0; fit < num_fits; ++fit) {
-      cell.fits.emplace_back(Status::Internal("fit never ran"));
-      tasks.push_back({c, fit, EstimateFitCost(*cell.plan, fit)});
-    }
-    cell.fit_timings.resize(static_cast<size_t>(num_fits));
-    cell.fits_left = num_fits;
+    plans.push_back(std::move(plan).value());
+    planned.push_back(c);
     cell.timing = {clock.WallMillis(), clock.CpuMillis(), false};
   }
-  Metrics().fits_total->Set(static_cast<int64_t>(tasks.size()));
 
-  // The last fit of a cell to complete assembles it on its worker: CV
-  // means, checkpoint, and the manifest post-pass. The fit slots are final
-  // by then: the atomic countdown orders every fit's writes before it.
-  auto finish_cell = [&](CellRun& cell) {
-    TraceSpan span;
-    if (TracingEnabled()) {
-      span = TraceSpan("study.cell/" + StudyCellName(cell.key), "study");
-    }
-    const TaskClock clock;
-    cell.result = FinishExperiment(std::move(*cell.plan), std::move(cell.fits));
-    cell.plan.reset();
-    Metrics().cells_computed->Increment();
-    if (cell.result.ok() && checkpointing) {
+  // On the worker that assembles a cell: its checkpoint, then its manifest
+  // post-pass.
+  const auto finish = [&](size_t i, Result<ExperimentResult>& result) {
+    CellRun& cell = cells[planned[i]];
+    if (result.ok() && checkpointing) {
       const Status saved =
-          SaveCellCheckpoint(config.checkpoint_dir, fingerprint, *cell.result);
+          SaveCellCheckpoint(config.checkpoint_dir, fingerprint, *result);
       // A cell whose checkpoint cannot be written counts as failed: the
       // study's contract is that a later --resume never silently re-runs
       // work it reported as persisted.
-      if (!saved.ok()) cell.result = saved;
+      if (!saved.ok()) result = saved;
     }
-    if (cell.result.ok() && cell.result->train.num_rows() > 0 &&
-        cell.result->test.num_rows() > 0 && cell.result->model != nullptr) {
-      cell.post_pass = ProfileAndCheckQuality(config, cell.key, *cell.result);
+    if (result.ok() && result->train.num_rows() > 0 &&
+        result->test.num_rows() > 0 && result->model != nullptr) {
+      cell.post_pass = ProfileAndCheckQuality(config, cell.key, *result);
     }
-    cell.timing.wall_ms += clock.WallMillis();
-    cell.timing.cpu_ms += clock.CpuMillis();
-    for (const CellTiming& fit : cell.fit_timings) {
-      cell.timing.wall_ms += fit.wall_ms;
-      cell.timing.cpu_ms += fit.cpu_ms;
-    }
-    Metrics().cell_us->Record(static_cast<int64_t>(cell.timing.wall_ms * 1e3));
   };
-
-  // Schedule the fits, not the cells: longest first (a stable sort keeps
-  // grid and fit order among equal estimates), one task each, on the one
-  // study pool. Workers take tasks in submission order, so the longest
-  // fits start first and the short ones fill in at the end. Every fit
-  // writes only its own slot, so the result is the same for any thread
-  // count and any completion order.
-  std::stable_sort(tasks.begin(), tasks.end(),
-                   [](const FitTask& a, const FitTask& b) {
-                     return a.cost > b.cost;
-                   });
-  ThreadPool pool(num_threads);
-  for (const FitTask& task : tasks) {
-    pool.Submit([&, task] {
-      CellRun& cell = cells[task.cell];
-      {
-        const std::string name = StudyCellName(cell.key);
-        TraceSpan span;
-        if (TracingEnabled()) {
-          span = TraceSpan("study.cell/" + name + "/" +
-                               (task.fit < cell.plan->final_fit()
-                                    ? "cv" + std::to_string(task.fit)
-                                    : "final"),
-                           "study");
-        }
-        // Telemetry context is thread-local, so each fit labels its own
-        // streams ("QoL-DD-fi0/cv2/train", ...) on whichever worker runs it.
-        TelemetryScope cell_scope(name);
-        const TaskClock clock;
-        cell.fits[static_cast<size_t>(task.fit)] = RunFit(*cell.plan, task.fit);
-        cell.fit_timings[static_cast<size_t>(task.fit)] = {
-            clock.WallMillis(), clock.CpuMillis(), false};
-        Metrics().fits_computed->Increment();
-      }
-      if (--cell.fits_left == 0) {
-        finish_cell(cell);
-      }
-    });
+  std::vector<PlanRun> runs =
+      RunPlans(std::move(plans), config.num_threads, finish);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    CellRun& cell = cells[planned[i]];
+    cell.result = std::move(runs[i].result);
+    cell.timing.wall_ms += runs[i].timing.wall_ms;
+    cell.timing.cpu_ms += runs[i].timing.cpu_ms;
   }
-  pool.Wait();
 
   // Collect in grid order so the first error reported is deterministic too.
   // Cells resumed from a checkpoint carry only their metrics, not their

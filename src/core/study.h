@@ -1,8 +1,11 @@
 #ifndef MYSAWH_CORE_STUDY_H_
 #define MYSAWH_CORE_STUDY_H_
 
+#include <array>
+#include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "cohort/cohort.h"
 #include "core/data_profile.h"
@@ -67,6 +70,16 @@ struct StudyCellKey {
 /// trace span name (`study.cell/<label>`) and as the manifest timing key.
 std::string StudyCellName(const StudyCellKey& key);
 
+/// One cell of an outcome's grid and the sample set it trains on.
+struct GridCell {
+  StudyCellKey key;
+  const Dataset* data = nullptr;
+};
+
+/// The four cells of `sets`' outcome in grid order: KD w/o FI, KD w/ FI,
+/// DD w/o FI, DD w/ FI. The pointers refer into `sets`.
+std::array<GridCell, 4> GridCells(const SampleSets& sets);
+
 /// Wall/CPU cost of computing (or resuming) one study cell. Collected for
 /// the run manifest only — ToMarkdown() never reads it, so a traced run's
 /// REPORT.md stays bit-identical to an untraced one.
@@ -109,18 +122,35 @@ struct StudyResult {
 };
 
 /// Relative cost of fit `fit` of `plan` (rows x levels x sampled features
-/// x rounds for GBT; rows x features otherwise). RunFullStudy only uses it
-/// to start the longest fits first; it never affects a result.
+/// x rounds for GBT; rows x features otherwise). RunPlans only uses it to
+/// start the longest fits first; it never affects a result.
 double EstimateFitCost(const ExperimentPlan& plan, int fit);
+
+/// One computed plan: its cell (or the first failed fit's Status, in fit
+/// order) and the summed cost of its fits and assembly.
+struct PlanRun {
+  Result<ExperimentResult> result = Status::Internal("plan never ran");
+  CellTiming timing;
+};
+
+/// Computes cells: every fit of every plan runs on one pool of
+/// `num_threads` workers (0 picks the hardware count, 1 runs on the calling
+/// thread), longest (EstimateFitCost) first. The worker that completes a
+/// plan's last fit assembles it with FinishExperiment, then calls
+/// `finish(i, result)`, when set, which may replace the result. Element i
+/// of the returned vector belongs to `plans[i]`. Every fit writes only its
+/// own slot, so the results are the same for any thread count.
+std::vector<PlanRun> RunPlans(
+    std::vector<ExperimentPlan> plans, int num_threads,
+    const std::function<void(size_t, Result<ExperimentResult>&)>& finish =
+        nullptr);
 
 /// Runs the full DD-vs-KD study: generates the cohort, builds the aligned
 /// sample sets for each outcome, and evaluates all twelve grid cells with
-/// the default per-cell hyperparameters. The unit of parallelism is the
-/// fit, not the cell: the 12 x (cv_folds + 1) fits run on one pool sized
-/// by `config.num_threads`, longest (EstimateFitCost) first, and the fit
-/// that completes a cell assembles and checkpoints it. Every fit writes
-/// only its own slot, so the result is deterministic regardless of
-/// parallelism.
+/// the default per-cell hyperparameters. Resume, fault injection and
+/// planning run on the calling thread in grid order; RunPlans computes the
+/// planned cells, checkpointing each and running its manifest post-pass on
+/// the worker that assembles it.
 Result<StudyResult> RunFullStudy(const StudyConfig& config);
 
 }  // namespace mysawh::core

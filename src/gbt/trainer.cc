@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
@@ -649,7 +650,7 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
     line << "\"names\":[";
     const auto& names = train_.feature_names();
     for (size_t f = 0; f < names.size(); ++f) {
-      line << (f == 0 ? "" : ",") << "\"" << TelemetryJsonEscape(names[f])
+      line << (f == 0 ? "" : ",") << "\"" << JsonEscape(names[f])
            << "\"";
     }
     line << "],\"split_counts\":[";

@@ -1,6 +1,8 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace mysawh {
@@ -316,6 +318,56 @@ JsonValue JsonValue::MakeObject(
 Result<JsonValue> ParseJson(const std::string& text) {
   Parser parser(text);
   return parser.ParseDocument();
+}
+
+std::optional<int64_t> JsonInteger(const JsonValue* value, int64_t lo,
+                                   int64_t hi) {
+  if (value == nullptr || !value->is_number()) return std::nullopt;
+  const double number = value->number_value();
+  // 2^63 is the first double above every int64_t, so the cast below is
+  // defined; the negated test also rejects NaN.
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (!(number >= -kTwoTo63 && number < kTwoTo63) ||
+      number != std::trunc(number)) {
+    return std::nullopt;
+  }
+  const auto integer = static_cast<int64_t>(number);
+  if (integer < lo || integer > hi) return std::nullopt;
+  return integer;
+}
+
+std::string JsonEscape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace mysawh

@@ -2,6 +2,7 @@
 #define MYSAWH_UTIL_JSON_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,6 +76,17 @@ class JsonValue {
 /// Parses one complete JSON document. InvalidArgument (with byte offset)
 /// on syntax errors, trailing non-whitespace, or nesting deeper than 64.
 Result<JsonValue> ParseJson(const std::string& text);
+
+/// `*value` as an integer when it is a finite, integral number in
+/// [lo, hi]; nullopt when `value` is null, not a number, fractional, or out
+/// of range. Artifact readers use it instead of casting the double, which
+/// truncates fractions and is undefined out of range.
+std::optional<int64_t> JsonInteger(const JsonValue* value, int64_t lo,
+                                   int64_t hi);
+
+/// The body of a JSON string literal for `text`: quotes and backslashes
+/// escaped, \n, \t and \r spelled so, other control characters as \u00XX.
+std::string JsonEscape(const std::string& text);
 
 }  // namespace mysawh
 

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "util/json.h"
 
 namespace mysawh {
 
@@ -82,46 +83,6 @@ LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name) {
   if (slot == nullptr) slot = std::make_unique<LatencyHistogram>();
   return slot.get();
 }
-
-namespace {
-
-/// Metric names are restricted to [a-z0-9._/-] by convention, but escape
-/// defensively so the snapshot is valid JSON for any registered name.
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string MetricsRegistry::SnapshotJson() const {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/file_io.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/resource_stats.h"
 #include "util/trace.h"
@@ -35,22 +36,6 @@ MonitorMetrics& Metrics() {
                           registry.GetCounter("monitor.stalls")};
   }();
   return metrics;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace

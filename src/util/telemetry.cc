@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "util/file_io.h"
+#include "util/json.h"
 
 namespace mysawh {
 
@@ -20,40 +21,6 @@ namespace {
 thread_local std::vector<std::string> t_context;
 
 }  // namespace
-
-std::string TelemetryJsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string TelemetryDouble(double value) {
   if (std::isnan(value)) return "null";
@@ -104,7 +71,7 @@ void TelemetryStream::Line(const char* type, const std::string& fields) {
   std::string line;
   line.reserve(fields.size() + label_.size() + 32);
   line += "{\"stream\":\"";
-  line += TelemetryJsonEscape(label_);
+  line += JsonEscape(label_);
   line += "\",\"type\":\"";
   line += type;
   line += '"';

@@ -55,9 +55,6 @@ inline bool TelemetryEnabled() {
   return telemetry_internal::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// JSON string escaping for telemetry line bodies.
-std::string TelemetryJsonEscape(const std::string& s);
-
 /// Deterministic JSON rendering of a double: shortest round-trip-exact
 /// decimal form ("%.17g" tightened), "null" for NaN, and explicit
 /// "1e9999"-free infinities rendered as +/-1e308 sentinels are never

@@ -4,11 +4,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 
 #include "util/file_io.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/resource_stats.h"
 
@@ -42,40 +42,6 @@ Counter* DroppedEventsCounter() {
   static Counter* const counter =
       MetricsRegistry::Global().GetCounter("trace.dropped_events");
   return counter;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

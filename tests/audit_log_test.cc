@@ -217,11 +217,34 @@ TEST(AuditParseTest, MalformedPayloadsAreDataLoss) {
       "\"records\":1}\n"
       "{\"type\":\"evict\",\"fp\":\"0\",\"model\":\"0\",\"features\":[1],"
       "\"prediction\":0.5}\n",
+      // Header counts that are not whole numbers in range.
+      "{\"schema\":\"mysawh-audit v1\",\"sample_rate\":1,\"top_k\":1,"
+      "\"records\":0.5}\n",
+      "{\"schema\":\"mysawh-audit v1\",\"sample_rate\":1,\"top_k\":3.9,"
+      "\"records\":0}\n",
+      "{\"schema\":\"mysawh-audit v1\",\"sample_rate\":1e300,\"top_k\":1,"
+      "\"records\":0}\n",
+      "{\"schema\":\"mysawh-audit v1\",\"sample_rate\":1,\"top_k\":1e10,"
+      "\"records\":0}\n",
   };
   for (const char* payload : cases) {
     const auto parsed = ParseAuditPayload(payload);
     ASSERT_FALSE(parsed.ok()) << payload;
     EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss) << payload;
+  }
+  // A SHAP index must name one of the record's features exactly.
+  const double feature = 1.0;
+  const std::string shap_record =
+      "{\"schema\":\"mysawh-audit v1\",\"sample_rate\":1,\"top_k\":1,"
+      "\"records\":1}\n{\"type\":\"shap\",\"fp\":\"" +
+      FingerprintHex(HashRow(&feature, 1)) +
+      "\",\"model\":\"0\",\"features\":[1],\"shap\":[{\"i\":";
+  ASSERT_TRUE(ParseAuditPayload(shap_record + "0,\"v\":0.5}]}\n").ok());
+  for (const char* index : {"0.5", "1", "-1", "1e300"}) {
+    const auto parsed =
+        ParseAuditPayload(shap_record + index + ",\"v\":0.5}]}\n");
+    ASSERT_FALSE(parsed.ok()) << index;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss) << index;
   }
 }
 

@@ -251,4 +251,18 @@ grep -q "no drift block" sparse_warnings.txt || { echo "missing drift-block warn
 grep -q "no calibration block" sparse_warnings.txt || { echo "missing calibration-block warning" >&2; exit 1; }
 grep -q "Provenance" sparse_dash.md
 
+# A latency histogram holding a value that is not a whole number (here one
+# far outside int64) is skipped with a warning; the others still render.
+printf '{"schema":"mysawh-run-manifest v1","git_describe":"none","fingerprint":"f0","seed":1,"eval_seed":2,"model_family":"gbt","cells":{},"data_quality":{},"metrics":{"counters":{},"gauges":{},"histograms":{"huge":{"count":3,"buckets":[1,2],"max_us":1e300},"fine":{"count":3,"buckets":[1,2],"max_us":1}}}}\n' > huge_manifest.json
+code=0
+"$CLI" report --manifest huge_manifest.json --out huge_dash.md 2> huge_warnings.txt || code=$?
+test "$code" -eq 0 || { echo "report on a huge max_us must exit 0, got $code" >&2; exit 1; }
+grep -q "histogram huge holds a value that is not a whole number" huge_warnings.txt \
+  || { echo "missing warning for the malformed histogram" >&2; exit 1; }
+grep -q "| fine |" huge_dash.md || { echo "the well-formed histogram must render" >&2; exit 1; }
+if grep -q "| huge |" huge_dash.md; then
+  echo "the malformed histogram must not render" >&2
+  exit 1
+fi
+
 echo "cli smoke test passed"

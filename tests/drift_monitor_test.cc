@@ -217,6 +217,23 @@ TEST(DriftBaselineTest, ParserRejectsMalformedArtifacts) {
     ASSERT_FALSE(corrupt.ok());
     EXPECT_EQ(corrupt.status().code(), StatusCode::kDataLoss);
   }
+  // Row and bin counts are whole numbers in range: casting a fraction
+  // would truncate it, and casting an out-of-range double is undefined.
+  for (const char* counts : {
+           "\"num_bins\":2,\"features\":[{\"name\":\"x\",\"rows\":-1e300,",
+           "\"num_bins\":2,\"features\":[{\"name\":\"x\",\"rows\":2.5,",
+           "\"num_bins\":2,\"features\":[{\"name\":\"x\",\"rows\":-1,",
+           "\"num_bins\":7.9,\"features\":[{\"name\":\"x\",\"rows\":10,",
+           "\"num_bins\":1e300,\"features\":[{\"name\":\"x\",\"rows\":10,",
+           "\"num_bins\":\"2\",\"features\":[{\"name\":\"x\",\"rows\":10,",
+       }) {
+    SCOPED_TRACE(counts);
+    const auto corrupt = ParseDriftBaseline(
+        std::string("{\"schema\":\"mysawh-drift-baseline v1\",") + counts +
+        "\"missing\":0,\"edges\":[0.5],\"expected\":[0.5,0.5]}]}");
+    ASSERT_FALSE(corrupt.ok());
+    EXPECT_EQ(corrupt.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(DriftRuntimeTest, WindowsEvaluateAndAlertsLatchOncePerExcursion) {

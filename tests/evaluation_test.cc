@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "cohort/simulator.h"
 #include "core/sample_builder.h"
+#include "core/study.h"
 
 namespace mysawh::core {
 namespace {
@@ -37,14 +41,30 @@ gbt::GbtParams FastParams(Outcome outcome, Approach approach) {
   return params;
 }
 
+/// A plan of one cell under the default protocol with FastParams.
+ExperimentPlan FastPlan(const Dataset& samples, Outcome outcome,
+                        Approach approach, bool with_fi) {
+  ModelFamilyConfig config;
+  config.gbt = FastParams(outcome, approach);
+  return PlanExperiment(samples, outcome, approach, with_fi, config,
+                        EvalProtocol{})
+      .value();
+}
+
+/// Computes `plans` with RunPlans on two threads; every cell must succeed.
+std::vector<ExperimentResult> RunCells(std::vector<ExperimentPlan> plans) {
+  std::vector<ExperimentResult> cells;
+  for (PlanRun& run : RunPlans(std::move(plans), 2)) {
+    cells.push_back(std::move(run.result).value());
+  }
+  return cells;
+}
+
 TEST(EvaluationTest, RegressionExperimentProducesSaneMetrics) {
   const auto& fixture = GetFixture();
-  EvalProtocol protocol;
-  const auto result =
-      RunExperiment(fixture.qol.dd, Outcome::kQol, Approach::kDataDriven,
-                    false, FastParams(Outcome::kQol, Approach::kDataDriven),
-                    protocol)
-          .value();
+  const auto cells = RunCells(
+      {FastPlan(fixture.qol.dd, Outcome::kQol, Approach::kDataDriven, false)});
+  const ExperimentResult& result = cells[0];
   EXPECT_FALSE(result.is_classification);
   EXPECT_GT(result.test_regression.one_minus_mape, 0.80);
   EXPECT_LT(result.test_regression.mae, 0.2);
@@ -59,12 +79,9 @@ TEST(EvaluationTest, RegressionExperimentProducesSaneMetrics) {
 
 TEST(EvaluationTest, ClassificationExperimentStratifies) {
   const auto& fixture = GetFixture();
-  EvalProtocol protocol;
-  const auto result =
-      RunExperiment(fixture.falls.dd, Outcome::kFalls, Approach::kDataDriven,
-                    false, FastParams(Outcome::kFalls, Approach::kDataDriven),
-                    protocol)
-          .value();
+  const auto cells = RunCells({FastPlan(fixture.falls.dd, Outcome::kFalls,
+                                        Approach::kDataDriven, false)});
+  const ExperimentResult& result = cells[0];
   EXPECT_TRUE(result.is_classification);
   EXPECT_GT(result.test_classification.accuracy, 0.7);
   // Both classes present on both sides of the split.
@@ -82,37 +99,28 @@ TEST(EvaluationTest, ClassificationExperimentStratifies) {
 TEST(EvaluationTest, DataDrivenBeatsKnowledgeDriven) {
   // The paper's core claim, on a small cohort with fast parameters.
   const auto& fixture = GetFixture();
-  EvalProtocol protocol;
-  const auto dd =
-      RunExperiment(fixture.qol.dd, Outcome::kQol, Approach::kDataDriven,
-                    false, FastParams(Outcome::kQol, Approach::kDataDriven),
-                    protocol)
-          .value();
-  const auto kd = RunExperiment(fixture.qol.kd, Outcome::kQol,
-                                Approach::kKnowledgeDriven, false,
-                                FastParams(Outcome::kQol,
-                                           Approach::kKnowledgeDriven),
-                                protocol)
-                      .value();
+  std::vector<ExperimentPlan> plans;
+  plans.push_back(
+      FastPlan(fixture.qol.dd, Outcome::kQol, Approach::kDataDriven, false));
+  plans.push_back(FastPlan(fixture.qol.kd, Outcome::kQol,
+                           Approach::kKnowledgeDriven, false));
+  const auto cells = RunCells(std::move(plans));
+  const ExperimentResult& dd = cells[0];
+  const ExperimentResult& kd = cells[1];
   EXPECT_GT(dd.test_regression.one_minus_mape,
             kd.test_regression.one_minus_mape);
 }
 
 TEST(EvaluationTest, FiFeatureImproves) {
   const auto& fixture = GetFixture();
-  EvalProtocol protocol;
-  const auto without =
-      RunExperiment(fixture.qol.kd, Outcome::kQol, Approach::kKnowledgeDriven,
-                    false,
-                    FastParams(Outcome::kQol, Approach::kKnowledgeDriven),
-                    protocol)
-          .value();
-  const auto with_fi =
-      RunExperiment(fixture.qol.kd_fi, Outcome::kQol,
-                    Approach::kKnowledgeDriven, true,
-                    FastParams(Outcome::kQol, Approach::kKnowledgeDriven),
-                    protocol)
-          .value();
+  std::vector<ExperimentPlan> plans;
+  plans.push_back(FastPlan(fixture.qol.kd, Outcome::kQol,
+                           Approach::kKnowledgeDriven, false));
+  plans.push_back(FastPlan(fixture.qol.kd_fi, Outcome::kQol,
+                           Approach::kKnowledgeDriven, true));
+  const auto cells = RunCells(std::move(plans));
+  const ExperimentResult& without = cells[0];
+  const ExperimentResult& with_fi = cells[1];
   EXPECT_GT(with_fi.test_regression.one_minus_mape,
             without.test_regression.one_minus_mape - 0.005);
   EXPECT_TRUE(with_fi.with_fi);
@@ -121,40 +129,42 @@ TEST(EvaluationTest, FiFeatureImproves) {
 
 TEST(EvaluationTest, ValidatesArguments) {
   const auto& fixture = GetFixture();
+  const ModelFamilyConfig config =
+      DefaultModelConfig(Outcome::kQol, Approach::kDataDriven);
   EvalProtocol protocol;
   protocol.cv_folds = 1;
-  EXPECT_FALSE(RunExperiment(fixture.qol.dd, Outcome::kQol,
-                             Approach::kDataDriven, false, protocol)
+  EXPECT_FALSE(PlanExperiment(fixture.qol.dd, Outcome::kQol,
+                              Approach::kDataDriven, false, config, protocol)
                    .ok());
   Dataset tiny = Dataset::Create({"x"});
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(tiny.AddRow({1.0 * i}, 1.0).ok());
   }
-  EXPECT_FALSE(RunExperiment(tiny, Outcome::kQol, Approach::kDataDriven,
-                             false, EvalProtocol{})
+  EXPECT_FALSE(PlanExperiment(tiny, Outcome::kQol, Approach::kDataDriven,
+                              false, config, EvalProtocol{})
                    .ok());
 }
 
-TEST(EvaluationTest, FitsInAnyOrderAssembleToRunExperiment) {
-  // The study runs a cell's fits on whichever workers are free, in any
-  // order; assembling them must give exactly the sequential result.
+TEST(EvaluationTest, RunPlansEqualsFitsAssembledInReverseOrder) {
+  // RunPlans runs every fit of every plan on whichever worker is free, in
+  // any order; each cell must come out exactly as its fits run one by one
+  // in reverse order and assembled, and element i must belong to plan i.
   const auto& fixture = GetFixture();
   EvalProtocol protocol;
   protocol.cv_folds = 3;
+  std::vector<ExperimentPlan> plans;
   for (const auto& [samples, outcome] :
        {std::pair<const Dataset*, Outcome>{&fixture.qol.dd, Outcome::kQol},
         std::pair<const Dataset*, Outcome>{&fixture.falls.dd,
                                            Outcome::kFalls}}) {
     ModelFamilyConfig config;
     config.gbt = FastParams(outcome, Approach::kDataDriven);
-    const ExperimentResult sequential =
-        RunExperiment(*samples, outcome, Approach::kDataDriven, true, config,
-                      protocol)
-            .value();
-    ExperimentPlan plan = PlanExperiment(*samples, outcome,
-                                         Approach::kDataDriven, true, config,
-                                         protocol)
-                              .value();
+    plans.push_back(PlanExperiment(*samples, outcome, Approach::kDataDriven,
+                                   true, config, protocol)
+                        .value());
+  }
+  std::vector<ExperimentResult> expected;
+  for (const ExperimentPlan& plan : plans) {
     ASSERT_EQ(plan.num_fits(), 4);
     std::vector<Result<FitResult>> fits;
     for (int fit = 0; fit < plan.num_fits(); ++fit) {
@@ -163,15 +173,32 @@ TEST(EvaluationTest, FitsInAnyOrderAssembleToRunExperiment) {
     for (int fit = plan.final_fit(); fit >= 0; --fit) {
       fits[static_cast<size_t>(fit)] = RunFit(plan, fit);
     }
-    const ExperimentResult assembled =
-        FinishExperiment(std::move(plan), std::move(fits)).value();
-    EXPECT_TRUE(assembled.model->Serialize() == sequential.model->Serialize());
-    EXPECT_EQ(assembled.HeadlineMetric(), sequential.HeadlineMetric());
-    EXPECT_EQ(assembled.cv_regression.mae, sequential.cv_regression.mae);
-    EXPECT_EQ(assembled.cv_classification.f1_true,
-              sequential.cv_classification.f1_true);
-    EXPECT_EQ(assembled.train.labels(), sequential.train.labels());
-    EXPECT_EQ(assembled.test.labels(), sequential.test.labels());
+    expected.push_back(FinishExperiment(plan, std::move(fits)).value());
+  }
+  for (int threads : {1, 3}) {
+    std::vector<Outcome> finished(plans.size(), Outcome::kSppb);
+    const std::vector<PlanRun> runs = RunPlans(
+        plans, threads, [&](size_t i, Result<ExperimentResult>& result) {
+          finished[i] = result.value().outcome;
+        });
+    ASSERT_EQ(runs.size(), expected.size());
+    for (size_t i = 0; i < runs.size(); ++i) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " plan=" + std::to_string(i));
+      const ExperimentResult& got = runs[i].result.value();
+      const ExperimentResult& want = expected[i];
+      EXPECT_EQ(got.outcome, plans[i].outcome);
+      EXPECT_EQ(finished[i], plans[i].outcome);
+      EXPECT_TRUE(got.model->Serialize() == want.model->Serialize());
+      EXPECT_EQ(got.HeadlineMetric(), want.HeadlineMetric());
+      EXPECT_EQ(got.cv_regression.mae, want.cv_regression.mae);
+      EXPECT_EQ(got.cv_regression.mape, want.cv_regression.mape);
+      EXPECT_EQ(got.cv_classification.accuracy,
+                want.cv_classification.accuracy);
+      EXPECT_EQ(got.cv_classification.f1_true, want.cv_classification.f1_true);
+      EXPECT_EQ(got.train.labels(), want.train.labels());
+      EXPECT_EQ(got.test.labels(), want.test.labels());
+    }
   }
 }
 

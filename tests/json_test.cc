@@ -6,10 +6,44 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 namespace mysawh {
 namespace {
+
+TEST(JsonTest, EscapeHandlesSpecials) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+  // Whatever the escaper writes, the reader returns unchanged.
+  const std::string nasty = std::string("q\"b\\n\nt\tr\r") + '\x1f' + "end";
+  std::string literal = "\"";
+  literal += JsonEscape(nasty);
+  literal += '"';
+  EXPECT_EQ(ParseJson(literal).value().string_value(), nasty);
+}
+
+TEST(JsonTest, IntegerAcceptsOnlyIntegralNumbersInRange) {
+  const auto integer = [](const std::string& text, int64_t lo, int64_t hi) {
+    const JsonValue value = ParseJson(text).value();
+    return JsonInteger(&value, lo, hi);
+  };
+  EXPECT_EQ(integer("7", 0, 10), 7);
+  EXPECT_EQ(integer("-3", -5, 5), -3);
+  EXPECT_EQ(integer("1e3", 0, 1000), 1000);
+  EXPECT_EQ(integer("0", 0, 0), 0);
+  for (const char* bad : {"2.5", "7.9", "-1e300", "1e300", "1e999", "-1e999",
+                          "9223372036854775808", "11", "-1", "\"3\"", "null",
+                          "[1]"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(integer(bad, 0, 10).has_value());
+  }
+  EXPECT_EQ(integer("-9223372036854775808", INT64_MIN, INT64_MAX), INT64_MIN);
+  EXPECT_FALSE(
+      integer("9223372036854775808", INT64_MIN, INT64_MAX).has_value());
+  EXPECT_FALSE(JsonInteger(nullptr, 0, 10).has_value());
+}
 
 TEST(JsonTest, ParsesScalars) {
   EXPECT_TRUE(ParseJson("null").value().is_null());

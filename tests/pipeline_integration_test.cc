@@ -7,10 +7,12 @@
 
 #include <cmath>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "cohort/simulator.h"
-#include "core/evaluation.h"
 #include "core/sample_builder.h"
+#include "core/study.h"
 #include "explain/explanation.h"
 #include "explain/tree_shap.h"
 #include "model/model.h"
@@ -40,22 +42,26 @@ const PipelineFixture& GetPipeline() {
         core::SampleSetBuilder::Create(&cohort, core::SampleBuildOptions{})
             .value();
     auto qol = builder.Build(Outcome::kQol).value();
-    auto params = core::DefaultGbtParams(Outcome::kQol, Approach::kDataDriven);
-    params.num_trees = 120;
-    core::EvalProtocol protocol;
-    auto dd = core::RunExperiment(qol.dd_fi, Outcome::kQol,
-                                  Approach::kDataDriven, true, params,
-                                  protocol)
-                  .value();
-    auto kd_params =
-        core::DefaultGbtParams(Outcome::kQol, Approach::kKnowledgeDriven);
-    kd_params.num_trees = 120;
-    auto kd = core::RunExperiment(qol.kd, Outcome::kQol,
-                                  Approach::kKnowledgeDriven, false,
-                                  kd_params, protocol)
-                  .value();
+    auto dd_config =
+        core::DefaultModelConfig(Outcome::kQol, Approach::kDataDriven);
+    dd_config.gbt.num_trees = 120;
+    auto kd_config =
+        core::DefaultModelConfig(Outcome::kQol, Approach::kKnowledgeDriven);
+    kd_config.gbt.num_trees = 120;
+    const core::EvalProtocol protocol;
+    std::vector<core::ExperimentPlan> plans;
+    plans.push_back(core::PlanExperiment(qol.dd_fi, Outcome::kQol,
+                                         Approach::kDataDriven, true,
+                                         dd_config, protocol)
+                        .value());
+    plans.push_back(core::PlanExperiment(qol.kd, Outcome::kQol,
+                                         Approach::kKnowledgeDriven, false,
+                                         kd_config, protocol)
+                        .value());
+    std::vector<core::PlanRun> runs = core::RunPlans(std::move(plans), 0);
     return new PipelineFixture{std::move(cohort), std::move(qol),
-                               std::move(dd), std::move(kd)};
+                               std::move(runs[0].result).value(),
+                               std::move(runs[1].result).value()};
   }();
   return *fixture;
 }

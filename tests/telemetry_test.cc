@@ -134,12 +134,6 @@ TEST(TelemetryTest, DoubleRenderingIsRoundTripExactAndDeterministic) {
   EXPECT_EQ(TelemetryDouble(2.0), "2");
 }
 
-TEST(TelemetryTest, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(TelemetryJsonEscape("plain"), "plain");
-  EXPECT_EQ(TelemetryJsonEscape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-  EXPECT_EQ(TelemetryJsonEscape(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(TelemetryTest, MoveTransfersOwnership) {
   TelemetrySession session;
   TelemetryStream stream = Telemetry::Global().StartStream("moved");

@@ -16,10 +16,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "cohort/simulator.h"
@@ -505,14 +505,6 @@ Status RunImportance(const FlagParser& flags) {
   return Status::Ok();
 }
 
-/// 16-hex-digit fingerprint, the audit artifact's spelling.
-std::string HexFp(uint64_t fp) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
-}
-
 /// Exact replay equality: audit doubles are serialized round-trip-exact,
 /// so anything short of the same value (or NaN for NaN) is a mismatch.
 bool ReplayMatches(double logged, double replayed) {
@@ -552,8 +544,9 @@ Status RunAuditReplay(const FlagParser& flags) {
   for (const core::AuditRecord& record : audit.records) {
     if (record.model_fp != gbt->fingerprint()) {
       return Status::FailedPrecondition(
-          "audit-replay: log was written by model " + HexFp(record.model_fp) +
-          " but --model has fingerprint " + HexFp(gbt->fingerprint()));
+          "audit-replay: log was written by model " +
+          core::FingerprintHex(record.model_fp) + " but --model has " +
+          "fingerprint " + core::FingerprintHex(gbt->fingerprint()));
     }
     if (record.features.size() != names.size()) {
       return Status::FailedPrecondition(
@@ -571,11 +564,12 @@ Status RunAuditReplay(const FlagParser& flags) {
                           const std::string& replayed, bool match) {
     if (!match) {
       ++mismatches;
-      std::cerr << "mismatch: " << type << " fp=" << HexFp(record.row_fp)
-                << " logged " << logged << " replayed " << replayed << "\n";
+      std::cerr << "mismatch: " << type
+                << " fp=" << core::FingerprintHex(record.row_fp) << " logged "
+                << logged << " replayed " << replayed << "\n";
     }
-    replay.rows.push_back({type, HexFp(record.row_fp), logged, replayed,
-                           match ? "yes" : "NO"});
+    replay.rows.push_back({type, core::FingerprintHex(record.row_fp), logged,
+                           replayed, match ? "yes" : "NO"});
   };
 
   if (!predicts.empty()) {
@@ -635,7 +629,7 @@ Status RunAuditReplay(const FlagParser& flags) {
   }
   std::cout << "replayed " << predicts.size() << " predict and "
             << shaps.size() << " shap record(s) against model "
-            << HexFp(gbt->fingerprint()) << ": "
+            << core::FingerprintHex(gbt->fingerprint()) << ": "
             << (mismatches == 0
                     ? "all match"
                     : std::to_string(mismatches) + " MISMATCHED")
@@ -961,26 +955,37 @@ Status RunReport(const FlagParser& flags) {
       os << "\n## Latency percentiles\n\n"
          << "| histogram | count | p50 us | p90 us | p99 us | max us |\n"
          << "|---|---|---|---|---|---|\n";
+      constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
       for (const auto& [name, histogram] : histograms->object_members()) {
         const double count = histogram.NumberOr("count", 0);
         if (count <= 0) continue;
         std::vector<int64_t> buckets;
+        bool malformed = false;
         const JsonValue* bucket_array = histogram.Find("buckets");
         if (bucket_array != nullptr && bucket_array->is_array()) {
           for (const JsonValue& b : bucket_array->array_items()) {
-            buckets.push_back(static_cast<int64_t>(b.number_value()));
+            const std::optional<int64_t> bucket = JsonInteger(&b, 0, kMaxInt64);
+            malformed = malformed || !bucket.has_value();
+            buckets.push_back(bucket.value_or(0));
           }
         }
         if (buckets.empty()) continue;
-        const auto max_us =
-            static_cast<int64_t>(histogram.NumberOr("max_us", 0));
+        const JsonValue* max_field = histogram.Find("max_us");
+        const std::optional<int64_t> max_us =
+            max_field == nullptr ? 0 : JsonInteger(max_field, 0, kMaxInt64);
+        if (malformed || !max_us.has_value()) {
+          std::cerr << "warning: " << manifest_path << " histogram " << name
+                    << " holds a value that is not a whole number; skipping"
+                    << " it\n";
+          continue;
+        }
         const auto quantile = [&](double q) {
           return HistogramQuantileFromBuckets(
-              buckets.data(), static_cast<int>(buckets.size()), max_us, q);
+              buckets.data(), static_cast<int>(buckets.size()), *max_us, q);
         };
         os << "| " << name << " | " << FormatDouble(count, 0) << " | "
            << quantile(0.50) << " | " << quantile(0.90) << " | "
-           << quantile(0.99) << " | " << max_us << " |\n";
+           << quantile(0.99) << " | " << *max_us << " |\n";
       }
     }
 
